@@ -17,82 +17,39 @@
 //! Additionally compares Levo's per-row predictor options (2-bit counter
 //! vs speculative PAp, §4.3).
 //!
-//! Usage: `ablation_future [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_future [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
-use std::sync::Arc;
-
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{f2, Sweep, TextTable, SUITE_ARGS};
 use dee_ilpsim::{harmonic_mean, simulate, LatencyModel, Model, SimConfig};
 use dee_levo::{Levo, LevoConfig, PredictorKind};
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("ablation_future"));
-    }
-    let p = suite.characteristic_accuracy_probs(probs);
+    let sweep = Sweep::load("ablation_future", SUITE_ARGS);
+    let p = sweep.p();
     let et = 100;
 
     // Each trace is prepared exactly once and shared by the latency and
-    // PE-limit sweeps (the serial version re-prepared per cell).
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "ablation_future_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
-    let num_b = prepared.len();
+    // PE-limit sweeps.
+    let prepared = sweep.prepare();
 
     println!(
         "Non-unit latencies (mul/div 4, mem 2; E_T = {et}, p = {}):\n",
         f2(p)
     );
     let lat_models = [Model::Sp, Model::SpCdMf, Model::DeeCdMf, Model::Oracle];
-    let mut lat_cells: Vec<(Model, usize)> = Vec::new();
-    for model in lat_models {
-        for b in 0..num_b {
-            lat_cells.push((model, b));
-        }
-    }
     // One cell = both latency variants of one (model, benchmark), sharing
     // the prepared trace: (speedup unit, speedup classic, ipc unit, ipc
     // classic).
-    let lat_flat = pool::run_sweep(
-        "ablation_future_latency",
-        jobs,
-        lat_cells
-            .iter()
-            .map(|&(model, b)| {
-                let prepared = Arc::clone(&prepared[b]);
-                move || {
-                    let unit = simulate(&prepared, &SimConfig::new(model, et).with_p(p));
-                    let classic = simulate(
-                        &prepared,
-                        &SimConfig::new(model, et)
-                            .with_p(p)
-                            .with_latency(LatencyModel::CLASSIC),
-                    );
-                    (unit.speedup(), classic.speedup(), unit.ipc(), classic.ipc())
-                }
-            })
-            .collect(),
-    );
+    let lat_grid = sweep.grid("ablation_future_latency", &lat_models, |&model, b| {
+        let unit = simulate(&prepared[b], &SimConfig::new(model, et).with_p(p));
+        let classic = simulate(
+            &prepared[b],
+            &SimConfig::new(model, et)
+                .with_p(p)
+                .with_latency(LatencyModel::CLASSIC),
+        );
+        (unit.speedup(), classic.speedup(), unit.ipc(), classic.ipc())
+    });
     let mut lat = TextTable::new(&[
         "model",
         "speedup unit",
@@ -100,8 +57,7 @@ fn main() {
         "ipc unit",
         "ipc classic",
     ]);
-    for (mi, model) in lat_models.iter().enumerate() {
-        let group = &lat_flat[mi * num_b..(mi + 1) * num_b];
+    for (model, group) in lat_models.iter().zip(&lat_grid) {
         let col = |f: fn(&(f64, f64, f64, f64)) -> f64| {
             f2(harmonic_mean(&group.iter().map(f).collect::<Vec<f64>>()))
         };
@@ -125,42 +81,25 @@ fn main() {
         Some(64),
         None,
     ];
-    let mut pe_cells: Vec<(Option<u32>, usize)> = Vec::new();
-    for &cap in &caps {
-        for b in 0..num_b {
-            pe_cells.push((cap, b));
+    let pe_grid = sweep.grid("ablation_future_pe", &caps, |&cap, b| {
+        let mut config = SimConfig::new(Model::DeeCdMf, et).with_p(p);
+        if let Some(cap) = cap {
+            config = config.with_max_pe(cap);
         }
-    }
-    let pe_flat = pool::run_sweep(
-        "ablation_future_pe",
-        jobs,
-        pe_cells
-            .iter()
-            .map(|&(cap, b)| {
-                let prepared = Arc::clone(&prepared[b]);
-                move || {
-                    let mut config = SimConfig::new(Model::DeeCdMf, et).with_p(p);
-                    if let Some(cap) = cap {
-                        config = config.with_max_pe(cap);
-                    }
-                    simulate(&prepared, &config).speedup()
-                }
-            })
-            .collect(),
-    );
+        simulate(&prepared[b], &config).speedup()
+    });
     let mut pes = TextTable::new(&["max PEs/cycle", "HM speedup"]);
-    for (ci, &cap) in caps.iter().enumerate() {
+    for (cap, speedups) in caps.iter().zip(&pe_grid) {
         let label = cap.map_or("unlimited".to_string(), |c| c.to_string());
-        let hm = harmonic_mean(&pe_flat[ci * num_b..(ci + 1) * num_b]);
-        pes.row(vec![label, f2(hm)]);
+        pes.row(vec![label, f2(harmonic_mean(speedups))]);
     }
     println!("{}", pes.render());
 
     println!("Levo per-row predictor (§4.3), 3 x 1-col DEE paths:\n");
-    let levo_flat = pool::run_sweep(
+    let levo_flat = sweep.run(
         "ablation_future_levo",
-        jobs,
-        suite
+        sweep
+            .suite
             .entries
             .iter()
             .map(|entry| {
@@ -183,14 +122,12 @@ fn main() {
             .collect(),
     );
     let mut pred = TextTable::new(&["benchmark", "ipc 2bc", "ipc pap-spec"]);
-    for (entry, &(two_bit, pap)) in suite.entries.iter().zip(&levo_flat) {
+    for (entry, &(two_bit, pap)) in sweep.suite.entries.iter().zip(&levo_flat) {
         pred.row(vec![entry.workload.name.clone(), f2(two_bit), f2(pap)]);
     }
     println!("{}", pred.render());
 
-    let path = lat
-        .write_csv(&format!("ablation_future_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = sweep.write_csv(&lat, "ablation_future");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }

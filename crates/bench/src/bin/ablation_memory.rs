@@ -9,35 +9,17 @@
 //! *equally slowed* sequential machine, so they isolate the models'
 //! latency tolerance.
 //!
-//! Usage: `ablation_memory [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_memory [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
-use std::sync::Arc;
-
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pct, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{f2, pct, Sweep, TextTable, SUITE_ARGS};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};
 use dee_mem::{annotate_latencies, CacheConfig, MemoryHierarchy};
 
 const MISS_PENALTY: u32 = 10;
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("ablation_memory"));
-    }
-    let p = suite.characteristic_accuracy_probs(probs);
+    let sweep = Sweep::load("ablation_memory", SUITE_ARGS);
+    let p = sweep.p();
     let et = 100;
 
     let configs: [(&str, Option<CacheConfig>); 3] = [
@@ -62,10 +44,10 @@ fn main() {
 
     println!("Data-cache hit rates (miss penalty {MISS_PENALTY} cycles):\n");
     // One cell per benchmark: replay both finite caches over the trace.
-    let rate_cells = pool::run_sweep(
+    let rate_cells = sweep.run(
         "ablation_memory_rates",
-        jobs,
-        suite
+        sweep
+            .suite
             .entries
             .iter()
             .map(|entry| {
@@ -89,7 +71,7 @@ fn main() {
             .collect(),
     );
     let mut rates = TextTable::new(&["benchmark", "8KiB 2-way", "1KiB 1-way", "mem refs"]);
-    for (entry, (hit_rates, refs)) in suite.entries.iter().zip(&rate_cells) {
+    for (entry, (hit_rates, refs)) in sweep.suite.entries.iter().zip(&rate_cells) {
         let mut cells = vec![entry.workload.name.to_string()];
         cells.extend(hit_rates.iter().map(|&r| pct(r)));
         cells.push(refs.to_string());
@@ -99,50 +81,21 @@ fn main() {
 
     println!("Harmonic-mean speedups at E_T = {et} (p = {}):\n", f2(p));
     // Each benchmark is prepared once; a (memory system, benchmark) cell
-    // clones the shared base (a cheap borrow copy), attaches that cache's
-    // measured latencies, and runs all four models on it.
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "ablation_memory_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    // clones the shared base, attaches that cache's measured latencies,
+    // and runs all four models on it.
+    let prepared = sweep.prepare();
     let models = [Model::Sp, Model::SpCdMf, Model::DeeCdMf, Model::Oracle];
-    let num_b = prepared.len();
-    let mut grid: Vec<(usize, usize)> = Vec::new();
-    for ci in 0..configs.len() {
-        for b in 0..num_b {
-            grid.push((ci, b));
+    let grid = sweep.grid("ablation_memory", &configs, |&(_, cache), b| {
+        let mut prepared = prepared[b].clone();
+        if let Some(config) = cache {
+            let mut hierarchy = MemoryHierarchy::new(config, 1, MISS_PENALTY);
+            let lats = annotate_latencies(&sweep.suite.entries[b].trace, &mut hierarchy);
+            prepared = prepared.with_mem_latencies(lats);
         }
-    }
-    let flat = pool::run_sweep(
-        "ablation_memory",
-        jobs,
-        grid.iter()
-            .map(|&(ci, b)| {
-                let cache = configs[ci].1;
-                let entry = &suite.entries[b];
-                let base = Arc::clone(&prepared[b]);
-                move || {
-                    let mut prepared = (*base).clone();
-                    if let Some(config) = cache {
-                        let mut hierarchy = MemoryHierarchy::new(config, 1, MISS_PENALTY);
-                        let lats = annotate_latencies(&entry.trace, &mut hierarchy);
-                        prepared = prepared.with_mem_latencies(lats);
-                    }
-                    models.map(|model| {
-                        simulate(&prepared, &SimConfig::new(model, et).with_p(p)).speedup()
-                    })
-                }
-            })
-            .collect(),
-    );
+        models.map(|model| simulate(&prepared, &SimConfig::new(model, et).with_p(p)).speedup())
+    });
     let mut t = TextTable::new(&["memory system", "SP", "SP-CD-MF", "DEE-CD-MF", "Oracle"]);
-    for (ci, (name, _)) in configs.iter().enumerate() {
-        let group = &flat[ci * num_b..(ci + 1) * num_b];
+    for ((name, _), group) in configs.iter().zip(&grid) {
         let mut cells = vec![(*name).to_string()];
         for mi in 0..models.len() {
             let values: Vec<f64> = group.iter().map(|c| c[mi]).collect();
@@ -151,9 +104,7 @@ fn main() {
         t.row(cells);
     }
     println!("{}", t.render());
-    let path = t
-        .write_csv(&format!("ablation_memory_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = sweep.write_csv(&t, "ablation_memory");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }

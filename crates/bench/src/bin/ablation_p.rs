@@ -13,18 +13,14 @@
 //! that differ from the trace's measured accuracy, showing how mis-sizing
 //! the static tree costs performance.
 //!
-//! Usage: `ablation_p [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_p [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
-use std::sync::Arc;
-
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{f2, Sweep, TextTable, SUITE_ARGS};
 use dee_core::{SpecTree, StaticTree, Strategy, TreeParams};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};
 
 fn main() {
+    let sweep = Sweep::load("ablation_p", SUITE_ARGS);
     let et = 100;
     println!("Static DEE tree shape vs characteristic accuracy (E_T = {et})\n");
     let mut shape = TextTable::new(&["p", "l (main line)", "h_DEE", "DEE paths", "depth vs EE/SP"]);
@@ -49,62 +45,23 @@ fn main() {
     }
     println!("{}", shape.render());
 
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("ablation_p"));
-    }
-    let measured = suite.characteristic_accuracy_probs(probs);
+    let measured = sweep.p();
     println!(
         "DEE-CD-MF sensitivity to the assumed tree accuracy (measured p = {}):\n",
         f2(measured)
     );
 
-    // The serial version re-prepared every trace once per assumed p;
-    // preparation is p-independent, so hoist it and share per workload.
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "ablation_p_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    // Preparation is p-independent: each trace is prepared once and
+    // shared by every assumed p.
+    let prepared = sweep.prepare();
     let assumed_ps = [0.60, 0.75, measured, 0.95, 0.99];
-    let num_b = prepared.len();
-    let mut cells: Vec<(f64, usize)> = Vec::new();
-    for &assumed in &assumed_ps {
-        for b in 0..num_b {
-            cells.push((assumed, b));
-        }
-    }
-    let flat = pool::run_sweep(
-        "ablation_p",
-        jobs,
-        cells
-            .iter()
-            .map(|&(assumed, b)| {
-                let prepared = Arc::clone(&prepared[b]);
-                move || {
-                    simulate(
-                        &prepared,
-                        &SimConfig::new(Model::DeeCdMf, et).with_p(assumed),
-                    )
-                    .speedup()
-                }
-            })
-            .collect(),
-    );
+    let grid = sweep.grid("ablation_p", &assumed_ps, |&assumed, b| {
+        simulate(
+            &prepared[b],
+            &SimConfig::new(Model::DeeCdMf, et).with_p(assumed),
+        )
+        .speedup()
+    });
 
     let mut sens = TextTable::new(&["assumed p", "HM speedup @100"]);
     for (ai, &assumed) in assumed_ps.iter().enumerate() {
@@ -113,14 +70,12 @@ fn main() {
         } else {
             f2(assumed)
         };
-        let hm = harmonic_mean(&flat[ai * num_b..(ai + 1) * num_b]);
+        let hm = harmonic_mean(&grid[ai]);
         sens.row(vec![label, f2(hm)]);
     }
     println!("{}", sens.render());
     let path = shape.write_csv("ablation_p_shape.csv").expect("csv");
-    let spath = sens
-        .write_csv(&format!("ablation_p_sensitivity_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let spath = sweep.write_csv(&sens, "ablation_p_sensitivity");
     println!("wrote {} and {}", path.display(), spath.display());
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }

@@ -9,23 +9,20 @@
 //! own measured accuracy. The DEE advantage should survive every
 //! predictor, largest where prediction is worst.
 //!
-//! Usage: `ablation_predictor [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_predictor [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 //! `--probs trace` / `--probs static` append that direction source as an
 //! extra comparison row; the default rows (and the golden CSV) are
 //! unchanged.
 
 use dee_analyze::SpeculationPlan;
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pct, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, BenchEntry, Suite,
-    TextTable,
-};
+use dee_bench::{f2, pct, BenchEntry, Sweep, TextTable, SUITE_ARGS};
 use dee_ilpsim::{harmonic_mean, simulate, DirectionPredictor, Model, ProbSource, SimConfig};
 use dee_predict::{BranchPredictor, Btfn, Gshare, PapAdaptive, TwoBitCounter};
+use dee_vm::DEFAULT_CHUNK_RECORDS;
 
 /// Prepares one entry under one predictor kind; the prepared trace is
 /// shared by the SP-CD-MF and DEE-CD-MF simulations of the cell.
-fn run_cell(kind: &str, entry: &BenchEntry, et: u32, chunk: usize) -> (f64, f64, f64) {
+fn run_cell(kind: &str, entry: &BenchEntry, et: u32) -> (f64, f64, f64) {
     let mut predictor: Box<dyn BranchPredictor> = match kind {
         "btfn" => {
             let targets: Vec<(u32, u32)> = entry
@@ -48,7 +45,7 @@ fn run_cell(kind: &str, entry: &BenchEntry, et: u32, chunk: usize) -> (f64, f64,
         ))),
         _ => Box::new(Gshare::default()),
     };
-    let prepared = entry.prepare_chunked_with(chunk, predictor.as_mut());
+    let prepared = entry.prepare_chunked_with(DEFAULT_CHUNK_RECORDS, predictor.as_mut());
     let p = prepared.accuracy();
     let sp = simulate(&prepared, &SimConfig::new(Model::SpCdMf, et).with_p(p)).speedup();
     let dee = simulate(&prepared, &SimConfig::new(Model::DeeCdMf, et).with_p(p)).speedup();
@@ -56,48 +53,22 @@ fn run_cell(kind: &str, entry: &BenchEntry, et: u32, chunk: usize) -> (f64, f64,
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("ablation_predictor"));
-    }
+    let sweep = Sweep::load("ablation_predictor", SUITE_ARGS);
     let et = 100;
 
     println!("Predictor tradeoff at E_T = {et} (harmonic means):\n");
     let mut kinds: Vec<&str> = vec!["btfn", "2bc", "pap-spec", "gshare"];
-    match probs {
+    match sweep.args.probs {
         ProbSource::Predictor => {}
         ProbSource::Trace => kinds.push("profile-direction"),
         ProbSource::Static => kinds.push("static-direction"),
     }
-    let mut cells: Vec<(&str, &BenchEntry)> = Vec::new();
-    for &kind in &kinds {
-        for entry in &suite.entries {
-            cells.push((kind, entry));
-        }
-    }
-    let flat = pool::run_sweep(
-        "ablation_predictor",
-        jobs,
-        cells
-            .iter()
-            .map(|&(kind, entry)| move || run_cell(kind, entry, et, chunk))
-            .collect(),
-    );
+    let grid = sweep.grid("ablation_predictor", &kinds, |kind, b| {
+        run_cell(kind, &sweep.suite.entries[b], et)
+    });
 
     let mut t = TextTable::new(&["predictor", "accuracy", "SP-CD-MF", "DEE-CD-MF", "DEE gain"]);
-    let num_b = suite.entries.len();
-    for (ki, kind) in kinds.iter().enumerate() {
-        let group = &flat[ki * num_b..(ki + 1) * num_b];
+    for (kind, group) in kinds.iter().zip(&grid) {
         let accs: Vec<f64> = group.iter().map(|c| c.0).collect();
         let sp: Vec<f64> = group.iter().map(|c| c.1).collect();
         let dee: Vec<f64> = group.iter().map(|c| c.2).collect();
@@ -115,9 +86,7 @@ fn main() {
     println!(
         "(§5.1: \"some use of DEE is likely to be beneficial, regardless of the\n predictor accuracy\" — the DEE column should dominate on every row)"
     );
-    let path = t
-        .write_csv(&format!("ablation_predictor_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = sweep.write_csv(&t, "ablation_predictor");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }

@@ -8,33 +8,15 @@
 //! E_T = 100 and sweeps `h_DEE` directly (with `l = E_T − h(h+1)/2`),
 //! comparing each shape's DEE-CD-MF speedup against the heuristic's pick.
 //!
-//! Usage: `ablation_shape [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_shape [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
-use std::sync::Arc;
-
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{f2, Sweep, TextTable, SUITE_ARGS};
 use dee_core::{StaticTree, TreeParams};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("ablation_shape"));
-    }
-    let p = suite.characteristic_accuracy_probs(probs);
+    let sweep = Sweep::load("ablation_shape", SUITE_ARGS);
+    let p = sweep.p();
     let et = 100u32;
     let heuristic = StaticTree::build(TreeParams {
         p: p.clamp(0.5, 0.9999),
@@ -48,17 +30,9 @@ fn main() {
         heuristic.h_dee()
     );
 
-    // Each trace is prepared once (the serial version re-prepared it for
-    // every swept h, and again for the heuristic comparison).
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "ablation_shape_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    // Each trace is prepared once and shared by every swept shape and
+    // the heuristic comparison.
+    let prepared = sweep.prepare();
     let hs: Vec<u32> = [0u32, 2, 4, 6, 8, 10, 11, 12, 13]
         .into_iter()
         .filter(|h| h * (h + 1) / 2 < et)
@@ -68,33 +42,16 @@ fn main() {
     let mut shapes: Vec<(u32, u32)> = hs.iter().map(|&h| (et - h * (h + 1) / 2, h)).collect();
     shapes.push((heuristic.mainline_len(), heuristic.h_dee()));
 
-    let num_b = prepared.len();
-    let mut cells: Vec<(u32, u32, usize)> = Vec::new();
-    for &(l, h) in &shapes {
-        for b in 0..num_b {
-            cells.push((l, h, b));
-        }
-    }
-    let flat = pool::run_sweep(
-        "ablation_shape",
-        jobs,
-        cells
-            .iter()
-            .map(|&(l, h, b)| {
-                let prepared = Arc::clone(&prepared[b]);
-                move || {
-                    simulate(
-                        &prepared,
-                        &SimConfig::new(Model::DeeCdMf, et)
-                            .with_p(p)
-                            .with_dee_shape(l, h),
-                    )
-                    .speedup()
-                }
-            })
-            .collect(),
-    );
-    let hm_of_shape = |si: usize| harmonic_mean(&flat[si * num_b..(si + 1) * num_b]);
+    let grid = sweep.grid("ablation_shape", &shapes, |&(l, h), b| {
+        simulate(
+            &prepared[b],
+            &SimConfig::new(Model::DeeCdMf, et)
+                .with_p(p)
+                .with_dee_shape(l, h),
+        )
+        .speedup()
+    });
+    let hm_of_shape = |si: usize| harmonic_mean(&grid[si]);
 
     let mut t = TextTable::new(&["h_DEE", "l", "HM speedup", "note"]);
     let mut best = (0u32, 0.0f64);
@@ -118,9 +75,7 @@ fn main() {
         f2(best.1),
         100.0 * (1.0 - hm_of_shape(shapes.len() - 1) / best.1)
     );
-    let path = t
-        .write_csv(&format!("ablation_shape_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = sweep.write_csv(&t, "ablation_shape");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }

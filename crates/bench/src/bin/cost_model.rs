@@ -6,11 +6,12 @@
 //! (paper: ~3%), and the ~1M-transistor marginal cost of a one-column DEE
 //! path — the basis of the conclusion "the marginal cost of DEE is low".
 
-use dee_bench::{f2, pct, TextTable};
+use dee_bench::{f2, pct, SweepArgs, TextTable};
 use dee_levo::cost::CostModel;
 use dee_levo::LevoConfig;
 
 fn main() {
+    let _ = SweepArgs::from_env("cost_model", &[]);
     let model = CostModel::default();
     println!(
         "Hardware cost model: {:.0}M transistor budget, {:.1}M per DEE column, {:.0}% concurrency overhead\n",

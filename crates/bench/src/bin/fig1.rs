@@ -7,10 +7,11 @@
 //! DEE assigns its fourth resource to the not-predicted root path
 //! (cp 0.3) instead of the deeper main-line path (cp 0.24).
 
-use dee_bench::{f2, TextTable};
+use dee_bench::{f2, SweepArgs, TextTable};
 use dee_core::{SpecTree, Strategy};
 
 fn main() {
+    let _ = SweepArgs::from_env("fig1", &[]);
     let p = 0.7;
     let et = 6;
     println!("Figure 1 — speculative execution strategies, p = {p}, E_T = {et}\n");

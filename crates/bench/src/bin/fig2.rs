@@ -4,10 +4,11 @@
 //! h_DEE = 4, a triangular DEE region of 10 paths, and the cumulative
 //! probability labels along the main line and the DEE paths.
 
-use dee_bench::{f2, TextTable};
+use dee_bench::{f2, SweepArgs, TextTable};
 use dee_core::{log_p_not_p, StaticTree, TreeParams};
 
 fn main() {
+    let _ = SweepArgs::from_env("fig2", &[]);
     let params = TreeParams { p: 0.90, et: 34 };
     let tree = StaticTree::build(params);
     println!(

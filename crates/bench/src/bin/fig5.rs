@@ -2,8 +2,9 @@
 //! five benchmarks, plus the harmonic mean and per-benchmark oracle
 //! speedups.
 //!
-//! Usage: `fig5 [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]` (default small; the
-//! paper-grade run is `medium`). Writes `results/fig5_<scale>.csv`.
+//! Usage: `fig5 [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`
+//! (default small; the paper-grade run is `medium`). Writes
+//! `results/fig5_<scale>.csv` and `results/fig5_<scale>.svg`.
 //!
 //! The DEE tree shape uses the suite's measured characteristic accuracy,
 //! following §3.1 step 1 (the paper measured 90.53% on SPECint92 with the
@@ -13,97 +14,46 @@
 //! each benchmark is prepared exactly once and shared across its cells, so
 //! output is byte-identical for any `--jobs` count.
 
-use std::sync::Arc;
-
 use dee_bench::plot::{render_panels, write_svg, Panel, Series};
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-    FIG5_RESOURCES,
-};
+use dee_bench::{f2, scale_tag, Sweep, TextTable, FIG5_RESOURCES, SUITE_ARGS};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("fig5"));
-    }
-    let p = suite.characteristic_accuracy_probs(probs);
+    let sweep = Sweep::load("fig5", SUITE_ARGS);
+    let scale = sweep.suite.scale;
+    let p = sweep.p();
     println!("Figure 5 — speedup vs branch-path resources ({scale:?} scale)");
     println!(
         "characteristic accuracy p = {} via `{}` (paper: 90.53%)\n",
         f2(p * 100.0),
-        probs.name()
+        sweep.args.probs.name()
     );
 
     let models = Model::all_constrained();
 
     // One prepared trace per workload, shared by every cell below.
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "fig5_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    let prepared = sweep.prepare();
 
-    // Cell grid: the oracle for each benchmark, then (benchmark, model,
-    // E_T). Results come back in exactly this order regardless of --jobs.
-    let num_b = suite.entries.len();
-    let mut cells: Vec<(usize, Option<(Model, u32)>)> = Vec::new();
-    for b in 0..num_b {
-        cells.push((b, None));
+    // Cell grid: the oracle, then every (model, E_T), each over every
+    // benchmark. Results come back in exactly this order regardless of
+    // --jobs.
+    let mut points: Vec<Option<(Model, u32)>> = vec![None];
+    for model in models {
+        points.extend(FIG5_RESOURCES.iter().map(|&et| Some((model, et))));
     }
-    for b in 0..num_b {
-        for model in models {
-            for &et in &FIG5_RESOURCES {
-                cells.push((b, Some((model, et))));
-            }
-        }
-    }
-    let tasks: Vec<_> = cells
-        .iter()
-        .map(|&(b, cfg)| {
-            let prepared = Arc::clone(&prepared[b]);
-            move || match cfg {
-                None => simulate(&prepared, &SimConfig::new(Model::Oracle, 0)).speedup(),
-                Some((model, et)) => {
-                    simulate(&prepared, &SimConfig::new(model, et).with_p(p)).speedup()
-                }
-            }
-        })
-        .collect();
-    let flat = pool::run_sweep("fig5", jobs, tasks);
-
-    let oracles: Vec<f64> = flat[..num_b].to_vec();
-    // speedups[benchmark][model][et]
-    let per_bench = models.len() * FIG5_RESOURCES.len();
-    let speedups: Vec<Vec<Vec<f64>>> = (0..num_b)
-        .map(|b| {
-            (0..models.len())
-                .map(|mi| {
-                    (0..FIG5_RESOURCES.len())
-                        .map(|ei| flat[num_b + b * per_bench + mi * FIG5_RESOURCES.len() + ei])
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
+    let grid = sweep.grid("fig5", &points, |&point, b| {
+        let config = match point {
+            None => SimConfig::new(Model::Oracle, 0),
+            Some((model, et)) => SimConfig::new(model, et).with_p(p),
+        };
+        simulate(&prepared[b], &config).speedup()
+    });
+    let oracles = &grid[0];
+    // Per-benchmark speedups of model `mi` at E_T index `ei`.
+    let at = |mi: usize, ei: usize| &grid[1 + mi * FIG5_RESOURCES.len() + ei];
 
     let mut csv = TextTable::new(&["benchmark", "model", "et", "speedup"]);
-    for (b, entry) in suite.entries.iter().enumerate() {
+    for (b, entry) in sweep.suite.entries.iter().enumerate() {
         let name = entry.workload.name.as_str();
         let mut header: Vec<&str> = vec!["model"];
         let et_labels: Vec<String> = FIG5_RESOURCES.iter().map(u32::to_string).collect();
@@ -113,7 +63,7 @@ fn main() {
         for (mi, model) in models.iter().enumerate() {
             let mut row_cells = vec![model.name().to_string()];
             for (ei, &et) in FIG5_RESOURCES.iter().enumerate() {
-                let speedup = speedups[b][mi][ei];
+                let speedup = at(mi, ei)[b];
                 row_cells.push(f2(speedup));
                 csv.row(vec![
                     name.into(),
@@ -136,26 +86,26 @@ fn main() {
     let mut hm_table = TextTable::new(&header);
     for (mi, model) in models.iter().enumerate() {
         let mut cells = vec![model.name().to_string()];
-        for ei in 0..FIG5_RESOURCES.len() {
-            let values: Vec<f64> = speedups.iter().map(|b| b[mi][ei]).collect();
-            let hm = harmonic_mean(&values);
+        for (ei, et) in FIG5_RESOURCES.iter().enumerate() {
+            let hm = harmonic_mean(at(mi, ei));
             cells.push(f2(hm));
             csv.row(vec![
                 "harmonic-mean".into(),
                 model.name().into(),
-                FIG5_RESOURCES[ei].to_string(),
+                et.to_string(),
                 format!("{hm:.4}"),
             ]);
         }
         hm_table.row(cells);
     }
-    let hm_oracle = harmonic_mean(&oracles);
+    let hm_oracle = harmonic_mean(oracles);
     println!("Harmonic Mean  (oracle speedup: {})", f2(hm_oracle));
     println!("{}", hm_table.render());
 
     let mut oracle_table = TextTable::new(&["benchmark", "oracle (measured)", "oracle (paper)"]);
     let paper_oracle = ["23.22", "25.86", "2810.48", "815.62", "104.35"];
-    for (entry, (oracle, paper)) in suite
+    for (entry, (oracle, paper)) in sweep
+        .suite
         .entries
         .iter()
         .zip(oracles.iter().zip(paper_oracle.iter()))
@@ -176,14 +126,12 @@ fn main() {
     println!("Oracle speedups (paper values from Figure 5 captions):");
     println!("{}", oracle_table.render());
 
-    let path = csv
-        .write_csv(&format!("fig5_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = sweep.write_csv(&csv, "fig5");
     println!("wrote {}", path.display());
 
     // Regenerate the figure itself: six panels, as in the paper.
     let mut panels: Vec<Panel> = Vec::new();
-    for (bench_idx, entry) in suite.entries.iter().enumerate() {
+    for (bench_idx, entry) in sweep.suite.entries.iter().enumerate() {
         panels.push(Panel {
             title: entry.workload.name.to_string(),
             oracle: Some(oracles[bench_idx]),
@@ -195,7 +143,7 @@ fn main() {
                     points: FIG5_RESOURCES
                         .iter()
                         .enumerate()
-                        .map(|(ei, &et)| (f64::from(et), speedups[bench_idx][mi][ei]))
+                        .map(|(ei, &et)| (f64::from(et), at(mi, ei)[bench_idx]))
                         .collect(),
                 })
                 .collect(),
@@ -212,16 +160,13 @@ fn main() {
                 points: FIG5_RESOURCES
                     .iter()
                     .enumerate()
-                    .map(|(ei, &et)| {
-                        let values: Vec<f64> = speedups.iter().map(|b| b[mi][ei]).collect();
-                        (f64::from(et), harmonic_mean(&values))
-                    })
+                    .map(|(ei, &et)| (f64::from(et), harmonic_mean(at(mi, ei))))
                     .collect(),
             })
             .collect(),
     });
     let svg = render_panels(&panels, &FIG5_RESOURCES);
-    let svg_path = write_svg(&format!("fig5_{scale:?}.svg").to_lowercase(), &svg).expect("svg");
+    let svg_path = write_svg(&format!("fig5_{}.svg", scale_tag(scale)), &svg).expect("svg");
     println!("wrote {}", svg_path.display());
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }

@@ -19,16 +19,13 @@
 //! reproduces the program). Output is byte-identical for any `--jobs`;
 //! `results/genspace_tiny.csv` is a committed golden.
 //!
-//! Usage: `genspace [tiny|small|medium|large] [--jobs N] [--store DIR] [--engine decoded|interp] [--probs predictor|trace|static]`.
+//! Usage: `genspace [tiny|small|medium|large] [--jobs N] [--store DIR] [--probs predictor|trace|static]`.
 //! With a non-default `--probs` the per-point accuracy (and so the tree
 //! shape and mispredict marking) comes from that source instead of the
 //! replayed 2-bit counter; the committed golden uses the default.
 
-use dee_bench::{
-    engine_from_args, f2, pct, pool, prepare_trace_probs, probs_from_args, scale_from_args,
-    store_from_args, TextTable,
-};
-use dee_gen::{generate_with, GenSpec};
+use dee_bench::{f2, pct, pool, prepare_trace_probs, scale_tag, Arg, SweepArgs, TextTable};
+use dee_gen::{generate, GenSpec};
 use dee_ilpsim::{simulate, Model, SimConfig};
 use dee_store::{ArtifactKey, StoreSource};
 use dee_workloads::Scale;
@@ -81,12 +78,10 @@ struct Cell {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let probs = probs_from_args();
-    let scale_tag = format!("{scale:?}").to_ascii_lowercase();
+    let args = SweepArgs::from_env("genspace", &[Arg::Scale, Arg::Jobs, Arg::Store, Arg::Probs]);
+    let store = args.open_store();
+    let (scale, probs) = (args.scale(), args.probs);
+    let tag = scale_tag(scale);
 
     let points: Vec<(f64, u64)> = PREDS
         .iter()
@@ -100,14 +95,14 @@ fn main() {
     let store_ref = store.as_ref();
     let cells: Vec<Cell> = pool::run_sweep(
         "genspace",
-        jobs,
+        args.jobs,
         points
             .iter()
             .map(|&(pred, seed)| {
-                let scale_tag = scale_tag.clone();
+                let tag = tag.as_str();
                 move || {
                     let spec = spec_at(pred, scale);
-                    let g = generate_with(&spec, seed, engine)
+                    let g = generate(&spec, seed)
                         .unwrap_or_else(|e| panic!("pred={pred} seed={seed}: {e}"));
                     // Same record-once/replay-many contract as the suite:
                     // the artifact key binds name, scale tag, listing, and
@@ -118,7 +113,7 @@ fn main() {
                         Some(store) => {
                             let key = ArtifactKey::new(
                                 g.workload.name.as_str(),
-                                &scale_tag,
+                                tag,
                                 &g.workload.program.to_listing(),
                                 &g.workload.initial_memory,
                             );
@@ -226,8 +221,6 @@ fn main() {
     }
     println!("{}", axis.render());
 
-    let path = csv
-        .write_csv(&format!("genspace_{scale_tag}.csv"))
-        .expect("csv");
+    let path = csv.write_scaled_csv("genspace", scale).expect("csv");
     println!("wrote {}", path.display());
 }

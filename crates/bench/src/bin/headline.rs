@@ -9,18 +9,13 @@
 //! * DEE-CD-MF @ 32 stays high (paper: 26×, the "Levo could be built with
 //!   only 32 branch paths" observation).
 //!
-//! Usage: `headline [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `headline [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 //!
 //! Each benchmark is prepared once and shared across all nine statistic
 //! points via [`dee_bench::pool`]; output is byte-identical for any
 //! `--jobs` count.
 
-use std::sync::Arc;
-
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{f2, Sweep, TextTable, SUITE_ARGS};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};
 
 /// The nine (model, E_T) statistic points, in reporting order. The oracle
@@ -38,56 +33,21 @@ const POINTS: [(Model, u32); 9] = [
 ];
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("headline"));
-    }
-    let p = suite.characteristic_accuracy_probs(probs);
+    let sweep = Sweep::load("headline", SUITE_ARGS);
+    let scale = sweep.suite.scale;
+    let p = sweep.p();
 
     eprintln!("simulating...");
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "headline_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
-
-    let num_b = prepared.len();
-    let mut cells: Vec<(usize, Model, u32)> = Vec::new();
-    for (model, et) in POINTS {
-        for b in 0..num_b {
-            cells.push((b, model, et));
-        }
-    }
-    let tasks: Vec<_> = cells
-        .iter()
-        .map(|&(b, model, et)| {
-            let prepared = Arc::clone(&prepared[b]);
-            move || {
-                let config = if model == Model::Oracle {
-                    SimConfig::new(Model::Oracle, 0)
-                } else {
-                    SimConfig::new(model, et).with_p(p)
-                };
-                simulate(&prepared, &config).speedup()
-            }
-        })
-        .collect();
-    let flat = pool::run_sweep("headline", jobs, tasks);
-    let hm_at = |point: usize| harmonic_mean(&flat[point * num_b..(point + 1) * num_b]);
+    let prepared = sweep.prepare();
+    let grid = sweep.grid("headline", &POINTS, |&(model, et), b| {
+        let config = if model == Model::Oracle {
+            SimConfig::new(Model::Oracle, 0)
+        } else {
+            SimConfig::new(model, et).with_p(p)
+        };
+        simulate(&prepared[b], &config).speedup()
+    });
+    let hm_at = |point: usize| harmonic_mean(&grid[point]);
 
     let dee100 = hm_at(0);
     let sp100 = hm_at(1);
@@ -140,9 +100,7 @@ fn main() {
         "~1.0".into(),
     ]);
     println!("{}", t.render());
-    let path = t
-        .write_csv(&format!("headline_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = sweep.write_csv(&t, "headline");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }

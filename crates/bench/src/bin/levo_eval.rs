@@ -17,13 +17,12 @@
 
 use dee_analyze::SpeculationPlan;
 use dee_bench::{
-    enforce_max_rss, f2, max_rss_from_args, pct, pool, probs_from_args, scale_from_args,
-    trace_direction_counts, TextTable,
+    enforce_max_rss, f2, pct, pool, trace_direction_counts, Arg, SweepArgs, TextTable,
 };
 use dee_core::{StaticTree, TreeParams};
 use dee_ilpsim::{DirectionPredictor, ProbSource};
 use dee_levo::{Levo, LevoConfig};
-use dee_workloads::{all_workloads, Scale, Workload};
+use dee_workloads::{all_workloads, Workload};
 
 /// Runs one Levo configuration on one workload and validates its output.
 fn run_validated(w: &Workload, config: LevoConfig, what: &str) -> dee_levo::LevoReport {
@@ -39,10 +38,11 @@ fn run_validated(w: &Workload, config: LevoConfig, what: &str) -> dee_levo::Levo
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
+    let args = SweepArgs::from_env(
+        "levo_eval",
+        &[Arg::Scale, Arg::Jobs, Arg::Probs, Arg::MaxRss],
+    );
+    let (scale, jobs, probs) = (args.scale(), args.jobs, args.probs);
     let workloads = all_workloads(scale);
 
     println!("Levo machine model ({scale:?} scale)\n");
@@ -203,10 +203,7 @@ fn main() {
         println!("{}", pv.render());
     }
 
-    let path = t
-        .write_csv(&format!("levo_eval_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = t.write_scaled_csv("levo_eval", scale).expect("csv");
     println!("wrote {}", path.display());
-    let _ = Scale::all(); // keep Scale in scope for docs
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }

@@ -11,12 +11,9 @@
 //!   that needs each outcome before the next prediction degrades, while
 //!   PAp with *speculative* history update holds its accuracy.
 //!
-//! Usage: `predictor_accuracy [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `predictor_accuracy [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
-use dee_bench::{
-    enforce_max_rss, engine_from_args, max_rss_from_args, pct, pool, probs_from_args,
-    scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{pct, Sweep, TextTable, SUITE_ARGS};
 use dee_isa::Program;
 use dee_predict::{
     measure_accuracy, measure_accuracy_delayed, AlwaysTaken, BranchPredictor, Btfn, Gshare,
@@ -49,21 +46,13 @@ fn make_predictor(kind: &str, program: &Program) -> Box<dyn BranchPredictor> {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("predictor_accuracy"));
-    }
+    let sweep = Sweep::load("predictor_accuracy", SUITE_ARGS);
+    let suite = &sweep.suite;
 
-    println!("Predictor accuracy per benchmark ({scale:?} scale)\n");
+    println!(
+        "Predictor accuracy per benchmark ({:?} scale)\n",
+        suite.scale
+    );
     // The sixth SPECint92 benchmark, excluded by the paper as "more
     // predictable than the others" — shown to reproduce the rationale.
     let sc = dee_workloads::sc::build(suite.scale);
@@ -82,9 +71,8 @@ fn main() {
             cells.push((b, kind));
         }
     }
-    let flat = pool::run_sweep(
+    let flat = sweep.run(
         "predictor_accuracy",
-        jobs,
         cells
             .iter()
             .map(|&(b, kind)| {
@@ -110,41 +98,20 @@ fn main() {
     println!("{}", t.render());
     println!(
         "characteristic `{}` accuracy of the evaluated five (harmonic mean): {}  (paper 2bc: 90.53%)\n",
-        probs.name(),
-        pct(suite.characteristic_accuracy_probs(probs))
+        sweep.args.probs.name(),
+        pct(sweep.p())
     );
 
     println!("Delayed-resolution accuracy (2bc vs speculative PAp), §4.3:");
     let delays = [0usize, 2, 4, 8, 16, 32];
-    let mut delay_cells: Vec<(usize, usize)> = Vec::new();
-    for &delay in &delays {
-        for b in 0..suite.entries.len() {
-            delay_cells.push((delay, b));
-        }
-    }
-    let delay_flat = pool::run_sweep(
-        "predictor_delay",
-        jobs,
-        delay_cells
-            .iter()
-            .map(|&(delay, b)| {
-                let trace = &suite.entries[b].trace;
-                move || {
-                    let c = measure_accuracy_delayed(&mut TwoBitCounter::new(), trace, delay);
-                    let s = measure_accuracy_delayed(
-                        &mut PapAdaptive::with_config(2, true),
-                        trace,
-                        delay,
-                    );
-                    (c.hits, c.branches, s.hits)
-                }
-            })
-            .collect(),
-    );
-    let num_b = suite.entries.len();
+    let delay_grid = sweep.grid("predictor_delay", &delays, |&delay, b| {
+        let trace = &suite.entries[b].trace;
+        let c = measure_accuracy_delayed(&mut TwoBitCounter::new(), trace, delay);
+        let s = measure_accuracy_delayed(&mut PapAdaptive::with_config(2, true), trace, delay);
+        (c.hits, c.branches, s.hits)
+    });
     let mut d = TextTable::new(&["delay (branches)", "2bc", "pap-spec"]);
-    for (di, &delay) in delays.iter().enumerate() {
-        let group = &delay_flat[di * num_b..(di + 1) * num_b];
+    for (delay, group) in delays.iter().zip(&delay_grid) {
         let counter_hits: u64 = group.iter().map(|c| c.0).sum();
         let counter_total: u64 = group.iter().map(|c| c.1).sum();
         let pap_hits: u64 = group.iter().map(|c| c.2).sum();
@@ -156,12 +123,8 @@ fn main() {
     }
     println!("{}", d.render());
 
-    let path = t
-        .write_csv(&format!("predictor_accuracy_{scale:?}.csv").to_lowercase())
-        .expect("csv");
-    let dpath = d
-        .write_csv(&format!("predictor_delay_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = sweep.write_csv(&t, "predictor_accuracy");
+    let dpath = sweep.write_csv(&d, "predictor_delay");
     println!("wrote {} and {}", path.display(), dpath.display());
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }

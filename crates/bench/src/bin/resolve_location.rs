@@ -13,31 +13,15 @@
 //! the -MF models spread slightly deeper but stay concentrated at the top
 //! of the tree, which is what makes the DEE paths effective.
 //!
-//! Usage: `resolve_location [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `resolve_location [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pct, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{f2, pct, Sweep, TextTable, SUITE_ARGS};
 use dee_core::{StaticTree, TreeParams};
 use dee_ilpsim::{simulate, Model, SimConfig};
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("resolve_location"));
-    }
-    let p = suite.characteristic_accuracy_probs(probs);
+    let sweep = Sweep::load("resolve_location", SUITE_ARGS);
+    let p = sweep.p();
     let et = 100;
     let tree = StaticTree::build(TreeParams {
         p: p.clamp(0.5, 0.9999),
@@ -60,23 +44,21 @@ fn main() {
         "mean level",
     ]);
     let mut agg = vec![0u64; 64];
-    // One cell per benchmark: prepare and simulate DEE-CD-MF @ E_T = 100.
-    let hists = pool::run_sweep(
+    // One cell per benchmark: DEE-CD-MF @ E_T = 100.
+    let prepared = sweep.prepare();
+    let hists = sweep.run(
         "resolve_location",
-        jobs,
-        suite
-            .entries
+        prepared
             .iter()
-            .map(|entry| {
+            .map(|prepared| {
                 move || {
-                    let prepared = entry.prepare_probs(chunk, probs);
-                    simulate(&prepared, &SimConfig::new(Model::DeeCdMf, et).with_p(p))
+                    simulate(prepared, &SimConfig::new(Model::DeeCdMf, et).with_p(p))
                         .resolve_level_histogram
                 }
             })
             .collect(),
     );
-    for (entry, hist) in suite.entries.iter().zip(&hists) {
+    for (entry, hist) in sweep.suite.entries.iter().zip(&hists) {
         for (k, &c) in hist.iter().enumerate() {
             agg[k] += c;
         }
@@ -97,11 +79,9 @@ fn main() {
             );
         }
     }
-    let path = t
-        .write_csv(&format!("resolve_location_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = sweep.write_csv(&t, "resolve_location");
     println!("\nwrote {}", path.display());
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }
 
 fn stat_row(name: &str, hist: &[u64], h: u32) -> Vec<String> {

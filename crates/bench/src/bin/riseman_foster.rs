@@ -9,80 +9,36 @@
 //! only with unbounded eager execution. This is exactly the cost explosion
 //! DEE's disjointness is designed to avoid.
 //!
-//! Usage: `riseman_foster [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `riseman_foster [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
-use std::sync::Arc;
-
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{f2, Sweep, TextTable, SUITE_ARGS};
 use dee_ilpsim::{harmonic_mean, riseman_foster};
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("riseman_foster"));
-    }
+    let sweep = Sweep::load("riseman_foster", SUITE_ARGS);
 
     println!("Riseman-Foster sweep: branches bypassed vs harmonic-mean speedup");
     println!("(paper cites 25.65x at infinity for their benchmarks)\n");
 
-    // Each benchmark is prepared once (the serial version re-prepared per
-    // bypassed count); every (bypassed, benchmark) cell shares it.
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "riseman_foster_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    // Each benchmark is prepared once; every (bypassed, benchmark) cell
+    // shares it.
+    let prepared = sweep.prepare();
     let caps = [0u32, 1, 2, 4, 8, 16, 64, 256, 4096, u32::MAX];
-    let num_b = prepared.len();
-    let mut cells: Vec<(u32, usize)> = Vec::new();
-    for &cap in &caps {
-        for b in 0..num_b {
-            cells.push((cap, b));
-        }
-    }
-    let flat = pool::run_sweep(
-        "riseman_foster",
-        jobs,
-        cells
-            .iter()
-            .map(|&(cap, b)| {
-                let prepared = Arc::clone(&prepared[b]);
-                move || riseman_foster(&prepared, cap).speedup()
-            })
-            .collect(),
-    );
+    let grid = sweep.grid("riseman_foster", &caps, |&cap, b| {
+        riseman_foster(&prepared[b], cap).speedup()
+    });
 
     let mut t = TextTable::new(&["branches bypassed", "HM speedup"]);
-    for (ci, &cap) in caps.iter().enumerate() {
+    for (&cap, speedups) in caps.iter().zip(&grid) {
         let label = if cap == u32::MAX {
             "unlimited".to_string()
         } else {
             cap.to_string()
         };
-        let hm = harmonic_mean(&flat[ci * num_b..(ci + 1) * num_b]);
-        t.row(vec![label, f2(hm)]);
+        t.row(vec![label, f2(harmonic_mean(speedups))]);
     }
     println!("{}", t.render());
-    let path = t
-        .write_csv(&format!("riseman_foster_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = sweep.write_csv(&t, "riseman_foster");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }

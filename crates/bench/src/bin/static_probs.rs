@@ -26,8 +26,8 @@
 use dee_analyze::plan::DEFAULT_TOLERANCE;
 use dee_analyze::{verify_plan, SpeculationPlan};
 use dee_bench::{
-    enforce_max_rss, f2, max_rss_from_args, pct, pool, prepare_trace_probs, scale_from_args,
-    trace_direction_counts, TextTable,
+    enforce_max_rss, f2, pct, pool, prepare_trace_probs, trace_direction_counts, Arg, SweepArgs,
+    TextTable,
 };
 use dee_ilpsim::{simulate, Model, ProbSource, SimConfig};
 use dee_predict::{measure_accuracy, TwoBitCounter};
@@ -55,9 +55,8 @@ struct Cell {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let max_rss = max_rss_from_args();
+    let args = SweepArgs::from_env("static_probs", &[Arg::Scale, Arg::Jobs, Arg::MaxRss]);
+    let scale = args.scale();
     let registry = WorkloadRegistry::builtin();
     let names: Vec<String> = registry.names().iter().map(|s| s.to_string()).collect();
     eprintln!(
@@ -69,7 +68,7 @@ fn main() {
     let registry_ref = &registry;
     let cells: Vec<Cell> = pool::run_sweep(
         "static_probs",
-        jobs,
+        args.jobs,
         names
             .iter()
             .map(|name| {
@@ -198,11 +197,9 @@ fn main() {
         }
     }
 
-    let path = t
-        .write_csv(&format!("static_probs_{scale:?}.csv").to_lowercase())
-        .expect("csv");
+    let path = t.write_scaled_csv("static_probs", scale).expect("csv");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }
 
 /// The trace-oracle Brier must lower-bound the static plan's on every

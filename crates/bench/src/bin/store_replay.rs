@@ -20,7 +20,7 @@
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use dee_bench::{store_from_args, TextTable};
+use dee_bench::{Arg, SweepArgs, TextTable};
 use dee_store::{ArtifactKey, Store};
 use dee_vm::{output_checksum, Engine, Trace};
 use dee_workloads::{all_workloads, Scale, Workload};
@@ -45,20 +45,13 @@ fn capture(workload: &Workload, engine: Engine) -> Trace {
 }
 
 fn main() {
-    let mut scales: Vec<Scale> = std::env::args()
-        .skip(1)
-        .filter_map(|a| match a.as_str() {
-            "tiny" => Some(Scale::Tiny),
-            "small" => Some(Scale::Small),
-            "medium" => Some(Scale::Medium),
-            "large" => Some(Scale::Large),
-            _ => None,
-        })
-        .collect();
-    if scales.is_empty() {
-        scales = vec![Scale::Tiny, Scale::Small];
-    }
-    let (store, scratch) = match store_from_args() {
+    let args = SweepArgs::from_env("store_replay", &[Arg::Scales, Arg::Store]);
+    let scales = if args.scales.is_empty() {
+        vec![Scale::Tiny, Scale::Small]
+    } else {
+        args.scales.clone()
+    };
+    let (store, scratch) = match args.open_store() {
         Some(store) => (store, None),
         None => {
             let dir = std::env::temp_dir().join(format!("dee_store_replay_{}", std::process::id()));

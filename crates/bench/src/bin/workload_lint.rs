@@ -2,7 +2,7 @@
 //! workloads are lint-clean and publishes their static branch taxonomy.
 //!
 //! For each workload this runs the full `dee-analyze` lint battery and the
-//! static branch census, then emits `results/workload_lint.csv` with one
+//! static branch census, then emits `results/workload_lint_<scale>.csv` with one
 //! row per workload: diagnostic counts (which must be zero — the binary
 //! exits nonzero otherwise, making it a CI gate), program size, conditional
 //! branch census (loop-back vs forward), reducibility, and the mean static
@@ -15,12 +15,12 @@
 //! Usage: `workload_lint [tiny|small|medium|large]`.
 
 use dee_analyze::{analyze, BranchCensus};
-use dee_bench::{f2, scale_from_args, TextTable};
+use dee_bench::{f2, scale_tag, Arg, SweepArgs, TextTable};
 use dee_workloads::WorkloadRegistry;
 
 fn main() {
-    let scale = scale_from_args();
-    let scale_tag = format!("{scale:?}").to_ascii_lowercase();
+    let scale = SweepArgs::from_env("workload_lint", &[Arg::Scale]).scale();
+    let tag = scale_tag(scale);
     let mut table = TextTable::new(&[
         "workload",
         "scale",
@@ -44,7 +44,7 @@ fn main() {
         let loop_back = census.num_loop_back();
         table.row(vec![
             w.name.to_string(),
-            scale_tag.clone(),
+            tag.clone(),
             w.program.len().to_string(),
             report.error_count().to_string(),
             report.warning_count().to_string(),
@@ -64,7 +64,7 @@ fn main() {
     }
     println!("Static lint/census over the suite at {scale:?}:\n");
     println!("{}", table.render());
-    match table.write_csv("workload_lint.csv") {
+    match table.write_scaled_csv("workload_lint", scale) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }

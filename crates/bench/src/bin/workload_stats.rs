@@ -2,33 +2,24 @@
 //! trace length, branch density, taken rate, mean branch-path length, and
 //! 2-bit-counter prediction accuracy (the paper's characteristic `p`).
 //!
-//! Usage: `workload_stats [tiny|small|medium|large] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--max-rss BYTES]`
+//! Usage: `workload_stats [tiny|small|medium|large] [--store DIR] [--workloads LIST] [--max-rss BYTES]`
 //! (default: small).
 
-use dee_bench::{
-    enforce_max_rss, engine_from_args, max_rss_from_args, scale_from_args, store_from_args,
-    workloads_from_args, Suite,
-};
+use dee_bench::{Arg, Sweep};
 use dee_predict::{measure_accuracy, TwoBitCounter};
 
 fn main() {
-    let scale = scale_from_args();
-    let max_rss = max_rss_from_args();
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("workload_stats"));
-    }
+    let sweep = Sweep::load(
+        "workload_stats",
+        &[Arg::Scale, Arg::Store, Arg::Workloads, Arg::MaxRss],
+    );
     println!(
         "{:<10} {:>12} {:>10} {:>8} {:>10} {:>8}",
         "workload", "dyn instrs", "branches", "taken%", "path len", "2bc acc%"
     );
     let mut acc_sum_recip = 0.0;
     let mut count = 0.0;
-    for entry in &suite.entries {
+    for entry in &sweep.suite.entries {
         let (w, trace) = (&entry.workload, &entry.trace);
         let mut predictor = TwoBitCounter::new();
         let report = measure_accuracy(&mut predictor, trace);
@@ -49,5 +40,5 @@ fn main() {
         "harmonic-mean accuracy: {:.2}%",
         100.0 * count / acc_sum_recip
     );
-    enforce_max_rss(max_rss);
+    sweep.finish();
 }

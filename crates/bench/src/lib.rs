@@ -25,14 +25,19 @@
 //! | `static_probs` | static vs trace-derived branch probabilities (DESIGN.md §15) |
 //!
 //! Binaries print paper-vs-measured tables and write CSVs under
-//! `results/`.
+//! `results/`. Each parses its command line with the one strict parser,
+//! [`SweepArgs`]; the suite binaries run through the [`Sweep`] driver (see
+//! [`sweep`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod plot;
 pub mod pool;
+pub mod sweep;
 pub mod timing;
+
+pub use sweep::{Arg, ArgError, Sweep, SweepArgs, SUITE_ARGS};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -42,8 +47,8 @@ use dee_analyze::{DirectionCounts, SpeculationPlan};
 use dee_ilpsim::{harmonic_mean, DirectionPredictor, PreparedTrace, ProbSource};
 use dee_predict::{measure_accuracy, BranchPredictor, TwoBitCounter};
 use dee_store::{ArtifactKey, Store, StoreSource};
-use dee_vm::{Engine, Trace, TraceChunks, DEFAULT_CHUNK_RECORDS};
-use dee_workloads::{all_workloads, Scale, Workload, WorkloadRegistry, PAPER_WORKLOADS};
+use dee_vm::{Engine, Trace, TraceChunks};
+use dee_workloads::{all_workloads, Scale, Workload, WorkloadRegistry};
 
 /// A validated workload with its captured trace.
 pub struct BenchEntry {
@@ -62,9 +67,8 @@ impl BenchEntry {
     }
 
     /// Streamed preparation: the records flow through
-    /// [`PreparedTrace::from_source`] in `chunk_records`-sized chunks
-    /// (the sweep binaries' `--chunk-records` flag), byte-identical to
-    /// [`prepare`](Self::prepare) at every chunk size.
+    /// [`PreparedTrace::from_source`] in `chunk_records`-sized chunks,
+    /// byte-identical to [`prepare`](Self::prepare) at every chunk size.
     #[must_use]
     pub fn prepare_chunked(&self, chunk_records: usize) -> PreparedTrace {
         self.prepare_chunked_with(chunk_records, &mut TwoBitCounter::new())
@@ -212,28 +216,13 @@ impl Suite {
         names: &[impl AsRef<str>],
         store: Option<&Store>,
     ) -> Result<Self, String> {
-        Suite::load_selected_with(scale, names, store, Engine::default())
-    }
-
-    /// [`Suite::load_selected`] with an explicit trace-capture engine
-    /// (`--engine decoded|interp`). Both engines produce byte-identical
-    /// suites; the choice only changes capture speed.
-    ///
-    /// # Errors
-    ///
-    /// Reports the first name the registry does not know.
-    ///
-    /// # Panics
-    ///
-    /// As [`Suite::load_with_store`], on validation or lint failure.
-    pub fn load_selected_with(
-        scale: Scale,
-        names: &[impl AsRef<str>],
-        store: Option<&Store>,
-        engine: Engine,
-    ) -> Result<Self, String> {
         let workloads = WorkloadRegistry::builtin().build_many(names, scale)?;
-        Ok(Suite::from_workloads(workloads, scale, store, engine))
+        Ok(Suite::from_workloads(
+            workloads,
+            scale,
+            store,
+            Engine::default(),
+        ))
     }
 
     /// The shared trace-capture path: every workload — built-in or
@@ -351,208 +340,6 @@ impl Suite {
     }
 }
 
-/// Parses the scale argument shared by the experiment binaries
-/// (`tiny|small|medium|large`, default `small`). Flags and their values
-/// (`--jobs N`, `--store DIR`, `--workloads LIST`, `--engine E`,
-/// `--chunk-records N`, `--max-rss BYTES`) are skipped, so the scale may
-/// appear anywhere: `fig5 --store traces tiny --jobs 4`.
-#[must_use]
-pub fn scale_from_args() -> Scale {
-    scale_from(std::env::args().skip(1))
-}
-
-fn scale_from<I: Iterator<Item = String>>(args: I) -> Scale {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            // Value-taking flags: skip the value so a directory named
-            // `tiny` never reads as a scale.
-            "--jobs" | "--store" | "--workloads" | "--engine" | "--chunk-records" | "--max-rss"
-            | "--probs" => {
-                args.next();
-            }
-            "tiny" => return Scale::Tiny,
-            "small" => return Scale::Small,
-            "medium" => return Scale::Medium,
-            "large" => return Scale::Large,
-            _ => {}
-        }
-    }
-    Scale::Small
-}
-
-/// Parses the `--store DIR` (or `--store=DIR`) flag shared by the
-/// experiment binaries: the trace-artifact store to record to and replay
-/// from. `None` when the flag is absent.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or the store cannot be opened.
-#[must_use]
-pub fn store_from_args() -> Option<Store> {
-    store_from(std::env::args().skip(1))
-}
-
-fn store_from<I: Iterator<Item = String>>(args: I) -> Option<Store> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let dir = if arg == "--store" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--store=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let dir = dir.unwrap_or_else(|| panic!("--store needs a directory"));
-        return Some(Store::open(&dir).unwrap_or_else(|e| panic!("--store {dir}: {e}")));
-    }
-    None
-}
-
-/// Parses the `--engine decoded|interp` (or `--engine=E`) flag shared by
-/// the experiment binaries: which trace-capture engine the suite uses.
-/// Defaults to the pre-decoded fast path; `interp` selects the reference
-/// interpreter. Both produce byte-identical suites.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or names an unknown engine.
-#[must_use]
-pub fn engine_from_args() -> Engine {
-    engine_from(std::env::args().skip(1))
-}
-
-fn engine_from<I: Iterator<Item = String>>(args: I) -> Engine {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--engine" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--engine=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let value = value.unwrap_or_else(|| panic!("--engine needs `decoded` or `interp`"));
-        return value.parse().unwrap_or_else(|e| panic!("--engine: {e}"));
-    }
-    Engine::default()
-}
-
-/// Parses the `--probs predictor|trace|static` (or `--probs=P`) flag
-/// shared by the experiment binaries: which probability source shapes the
-/// DEE tree and marks mispredicts. Defaults to `predictor` (the 2-bit
-/// counter), keeping every committed golden byte-identical.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or names an unknown source.
-#[must_use]
-pub fn probs_from_args() -> ProbSource {
-    probs_from(std::env::args().skip(1))
-}
-
-fn probs_from<I: Iterator<Item = String>>(args: I) -> ProbSource {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--probs" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--probs=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let value =
-            value.unwrap_or_else(|| panic!("--probs needs `predictor`, `trace`, or `static`"));
-        return ProbSource::parse(&value).unwrap_or_else(|| {
-            panic!("--probs expects `predictor`, `trace`, or `static`, got {value:?}")
-        });
-    }
-    ProbSource::default()
-}
-
-/// Parses the `--chunk-records N` (or `--chunk-records=N`) flag shared by
-/// the experiment binaries: how many records the streaming prepare path
-/// pulls per chunk. Defaults to [`dee_vm::DEFAULT_CHUNK_RECORDS`]; the
-/// prepared traces — and so every golden — are byte-identical at any
-/// chunk size.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or the value is not a positive
-/// integer.
-#[must_use]
-pub fn chunk_records_from_args() -> usize {
-    chunk_records_from(std::env::args().skip(1))
-}
-
-fn chunk_records_from<I: Iterator<Item = String>>(args: I) -> usize {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--chunk-records" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--chunk-records=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let value = value.unwrap_or_else(|| panic!("--chunk-records needs a record count"));
-        let chunk: usize = value.parse().unwrap_or_else(|_| {
-            panic!("--chunk-records expects a positive integer, got {value:?}")
-        });
-        assert!(
-            chunk >= 1,
-            "--chunk-records expects a positive integer, got 0"
-        );
-        return chunk;
-    }
-    DEFAULT_CHUNK_RECORDS
-}
-
-/// Parses the `--max-rss BYTES` (or `--max-rss=BYTES`) flag shared by the
-/// experiment binaries: a peak-resident-set budget the run must stay
-/// under, checked by [`enforce_max_rss`] once the sweep finishes. Accepts
-/// a plain byte count or a `K`/`M`/`G` suffix (powers of 1024). `None`
-/// when the flag is absent.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or the value is malformed.
-#[must_use]
-pub fn max_rss_from_args() -> Option<u64> {
-    max_rss_from(std::env::args().skip(1))
-}
-
-fn max_rss_from<I: Iterator<Item = String>>(args: I) -> Option<u64> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--max-rss" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--max-rss=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let value = value.unwrap_or_else(|| panic!("--max-rss needs a byte budget"));
-        return Some(
-            parse_byte_size(&value)
-                .unwrap_or_else(|| panic!("--max-rss expects BYTES or <N>K|M|G, got {value:?}")),
-        );
-    }
-    None
-}
-
-fn parse_byte_size(value: &str) -> Option<u64> {
-    let v = value.trim();
-    let (digits, shift) = match v.as_bytes().last()? {
-        b'k' | b'K' => (&v[..v.len() - 1], 10),
-        b'm' | b'M' => (&v[..v.len() - 1], 20),
-        b'g' | b'G' => (&v[..v.len() - 1], 30),
-        _ => (v, 0),
-    };
-    let n: u64 = digits.parse().ok()?;
-    n.checked_shl(shift).filter(|&b| b > 0 || n == 0)
-}
-
 /// The process's peak resident set size in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where the proc filesystem is
 /// unavailable.
@@ -588,52 +375,6 @@ pub fn enforce_max_rss(limit: Option<u64>) {
         }
         None => eprintln!("dee_bench_max_rss: VmHWM unavailable; --max-rss not enforced"),
     }
-}
-
-/// Parses the `--workloads a,b,c` (or `--workloads=a,b,c`) flag shared by
-/// the experiment binaries: which registered workloads a suite covers.
-/// Defaults to the paper five so committed goldens are unaffected;
-/// `--workloads all` selects every builtin registration.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or names an unknown workload.
-#[must_use]
-pub fn workloads_from_args() -> Vec<String> {
-    workloads_from(std::env::args().skip(1))
-}
-
-fn workloads_from<I: Iterator<Item = String>>(args: I) -> Vec<String> {
-    let registry = WorkloadRegistry::builtin();
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let list = if arg == "--workloads" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--workloads=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let list = list.unwrap_or_else(|| panic!("--workloads needs a comma-separated list"));
-        if list == "all" {
-            return registry.names().iter().map(|n| (*n).to_string()).collect();
-        }
-        let names: Vec<String> = list
-            .split(',')
-            .filter(|n| !n.is_empty())
-            .map(str::to_string)
-            .collect();
-        for name in &names {
-            assert!(
-                registry.contains(name),
-                "--workloads: unknown workload `{name}` (known: {})",
-                registry.names().join(", ")
-            );
-        }
-        assert!(!names.is_empty(), "--workloads list is empty");
-        return names;
-    }
-    PAPER_WORKLOADS.iter().map(|n| (*n).to_string()).collect()
 }
 
 /// A simple fixed-width text table builder for experiment output.
@@ -707,6 +448,26 @@ impl TextTable {
         std::fs::write(&path, csv)?;
         Ok(path)
     }
+
+    /// Writes the table to `results/<stem>_<scale>.csv`, the naming rule
+    /// for every per-scale output.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn write_scaled_csv(
+        &self,
+        stem: &str,
+        scale: Scale,
+    ) -> std::io::Result<std::path::PathBuf> {
+        self.write_csv(&format!("{stem}_{}.csv", scale_tag(scale)))
+    }
+}
+
+/// The lower-case name of a scale, as arguments and file names spell it.
+#[must_use]
+pub fn scale_tag(scale: Scale) -> String {
+    format!("{scale:?}").to_ascii_lowercase()
 }
 
 /// Formats a float with two decimals for table cells.
@@ -727,6 +488,7 @@ pub const FIG5_RESOURCES: [u32; 6] = [8, 16, 32, 64, 128, 256];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dee_vm::DEFAULT_CHUNK_RECORDS;
 
     #[test]
     fn suite_loads_and_validates_tiny() {
@@ -757,109 +519,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f2(1.23456), "1.23");
         assert_eq!(pct(0.905), "90.5%");
-    }
-
-    fn args(list: &[&str]) -> impl Iterator<Item = String> {
-        list.iter()
-            .map(|s| (*s).to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
-    }
-
-    #[test]
-    fn scale_parsing_tolerates_flags_anywhere() {
-        assert_eq!(scale_from(args(&["tiny"])), Scale::Tiny);
-        assert_eq!(scale_from(args(&["--jobs", "4", "medium"])), Scale::Medium);
-        assert_eq!(
-            scale_from(args(&["large", "--store", "traces"])),
-            Scale::Large
-        );
-        // A directory that happens to be named like a scale is a flag
-        // value, not a scale.
-        assert_eq!(scale_from(args(&["--store", "tiny"])), Scale::Small);
-        assert_eq!(scale_from(args(&["--store=tiny"])), Scale::Small);
-        assert_eq!(scale_from(args(&[])), Scale::Small);
-        assert_eq!(
-            scale_from(args(&["--engine", "interp", "medium"])),
-            Scale::Medium
-        );
-    }
-
-    #[test]
-    fn engine_parsing_defaults_to_decoded() {
-        assert_eq!(engine_from(args(&["tiny"])), Engine::Decoded);
-        assert_eq!(engine_from(args(&["--engine", "interp"])), Engine::Interp);
-        assert_eq!(engine_from(args(&["--engine=decoded"])), Engine::Decoded);
-        assert_eq!(
-            engine_from(args(&["tiny", "--jobs", "4", "--engine", "interp"])),
-            Engine::Interp
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "--engine")]
-    fn engine_parsing_rejects_unknown_engines() {
-        engine_from(args(&["--engine", "warp"]));
-    }
-
-    #[test]
-    fn suites_identical_across_engines() {
-        let a = Suite::load_selected_with(Scale::Tiny, &["xlisp"], None, Engine::Interp)
-            .expect("known");
-        let b = Suite::load_selected_with(Scale::Tiny, &["xlisp"], None, Engine::Decoded)
-            .expect("known");
-        assert_eq!(a.entries[0].trace.records(), b.entries[0].trace.records());
-        assert_eq!(a.entries[0].trace.output(), b.entries[0].trace.output());
-    }
-
-    #[test]
-    fn chunk_records_parsing_defaults_and_forms() {
-        assert_eq!(chunk_records_from(args(&["tiny"])), DEFAULT_CHUNK_RECORDS);
-        assert_eq!(chunk_records_from(args(&["--chunk-records", "4093"])), 4093);
-        assert_eq!(chunk_records_from(args(&["--chunk-records=7"])), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn chunk_records_parsing_rejects_zero() {
-        chunk_records_from(args(&["--chunk-records", "0"]));
-    }
-
-    #[test]
-    fn max_rss_parsing_handles_suffixes() {
-        assert_eq!(max_rss_from(args(&["tiny"])), None);
-        assert_eq!(max_rss_from(args(&["--max-rss", "1048576"])), Some(1 << 20));
-        assert_eq!(max_rss_from(args(&["--max-rss=512K"])), Some(512 << 10));
-        assert_eq!(max_rss_from(args(&["--max-rss", "64M"])), Some(64 << 20));
-        assert_eq!(max_rss_from(args(&["--max-rss", "2G"])), Some(2 << 30));
-    }
-
-    #[test]
-    #[should_panic(expected = "--max-rss expects")]
-    fn max_rss_parsing_rejects_garbage() {
-        max_rss_from(args(&["--max-rss", "lots"]));
-    }
-
-    #[test]
-    fn probs_parsing_defaults_and_forms() {
-        assert_eq!(probs_from(args(&["tiny"])), ProbSource::Predictor);
-        assert_eq!(probs_from(args(&["--probs", "trace"])), ProbSource::Trace);
-        assert_eq!(probs_from(args(&["--probs=static"])), ProbSource::Static);
-        assert_eq!(
-            probs_from(args(&["tiny", "--jobs", "4", "--probs", "predictor"])),
-            ProbSource::Predictor
-        );
-        // The scale parser must not eat `--probs` values either.
-        assert_eq!(
-            scale_from(args(&["--probs", "static", "tiny"])),
-            Scale::Tiny
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "--probs expects")]
-    fn probs_parsing_rejects_unknown_sources() {
-        probs_from(args(&["--probs", "oracle"]));
     }
 
     #[test]
@@ -921,41 +580,12 @@ mod tests {
     }
 
     #[test]
-    fn workloads_parsing_defaults_to_the_paper_five() {
-        assert_eq!(workloads_from(args(&["tiny"])), PAPER_WORKLOADS.to_vec());
-        assert_eq!(
-            workloads_from(args(&["--workloads", "synacor,cc1"])),
-            vec!["synacor", "cc1"]
-        );
-        assert_eq!(workloads_from(args(&["--workloads=xlisp"])), vec!["xlisp"]);
-        let all = workloads_from(args(&["--workloads", "all"]));
-        assert!(all.contains(&"synacor".to_string()));
-        assert!(all.len() > PAPER_WORKLOADS.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown workload")]
-    fn workloads_parsing_rejects_unknown_names() {
-        workloads_from(args(&["--workloads", "gcc"]));
-    }
-
-    #[test]
     fn selected_suite_builds_registry_workloads() {
         let suite =
             Suite::load_selected(Scale::Tiny, &["synacor", "compress"], None).expect("known names");
         assert_eq!(suite.entries.len(), 2);
         assert_eq!(suite.entries[0].workload.name, "synacor");
         assert!(Suite::load_selected(Scale::Tiny, &["nope"], None).is_err());
-    }
-
-    #[test]
-    fn store_parsing_finds_flag_or_returns_none() {
-        assert!(store_from(args(&["tiny", "--jobs", "4"])).is_none());
-        let dir = std::env::temp_dir().join(format!("dee_bench_storeflag_{}", std::process::id()));
-        let store =
-            store_from(args(&["tiny", "--store", dir.to_str().unwrap()])).expect("flag parsed");
-        assert_eq!(store.root(), dir.as_path());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

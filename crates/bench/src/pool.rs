@@ -127,41 +127,6 @@ where
         .collect()
 }
 
-/// Parses the `--jobs N` (or `--jobs=N`) flag shared by the sweep
-/// binaries, defaulting to [`std::thread::available_parallelism`].
-///
-/// The flag may appear anywhere after the binary name; the scale argument
-/// stays positional (see [`crate::scale_from_args`]).
-///
-/// # Panics
-///
-/// Panics on a malformed or missing job count — these binaries are
-/// developer tools, and a loud failure beats silently running serial.
-#[must_use]
-pub fn jobs_from_args() -> usize {
-    jobs_from(std::env::args().skip(1))
-}
-
-fn jobs_from<I: Iterator<Item = String>>(args: I) -> usize {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--jobs" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--jobs=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let value = value.unwrap_or_else(|| panic!("--jobs needs a count"));
-        let jobs: usize = value
-            .parse()
-            .unwrap_or_else(|_| panic!("--jobs expects a positive integer, got {value:?}"));
-        assert!(jobs >= 1, "--jobs expects a positive integer, got 0");
-        return jobs;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,25 +184,5 @@ mod tests {
     fn empty_task_list_is_fine() {
         let got: Vec<Result<u32, _>> = run(4, Vec::<fn() -> u32>::new());
         assert!(got.is_empty());
-    }
-
-    #[test]
-    fn jobs_flag_forms() {
-        let parse = |v: &[&str]| jobs_from(v.iter().map(|s| (*s).to_string()));
-        assert_eq!(parse(&["tiny", "--jobs", "3"]), 3);
-        assert_eq!(parse(&["--jobs=5", "medium"]), 5);
-        assert!(parse(&["small"]) >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn jobs_flag_rejects_garbage() {
-        let _ = jobs_from(["--jobs", "many"].iter().map(|s| (*s).to_string()));
-    }
-
-    #[test]
-    #[should_panic(expected = "got 0")]
-    fn jobs_flag_rejects_zero() {
-        let _ = jobs_from(["--jobs", "0"].iter().map(|s| (*s).to_string()));
     }
 }

@@ -124,6 +124,98 @@ determinism_test!(
 determinism_test!(riseman_foster_is_byte_deterministic, "riseman_foster");
 determinism_test!(resolve_location_is_byte_deterministic, "resolve_location");
 determinism_test!(genspace_is_byte_deterministic, "genspace");
+determinism_test!(static_probs_is_byte_deterministic, "static_probs");
+
+/// Runs `exe` on a bad command line in an empty `dir` and checks that it
+/// exits 2 with an `error:` line naming `token`, before doing any work:
+/// `dir` must still be empty afterwards.
+fn check_rejected(exe: &str, dir: &Path, argv: &[&str], token: &str) {
+    let output = Command::new(exe)
+        .args(argv)
+        .current_dir(dir)
+        .output()
+        .expect("spawn binary");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let first = stderr.lines().next().unwrap_or_default();
+    assert_eq!(output.status.code(), Some(2), "{exe} {argv:?}:\n{stderr}");
+    assert!(
+        first.starts_with("error:") && first.contains(token),
+        "{exe} {argv:?}: error line does not name `{token}`:\n{stderr}"
+    );
+    let left: Vec<_> = std::fs::read_dir(dir).expect("scratch dir").collect();
+    assert!(
+        left.is_empty(),
+        "{exe} {argv:?} wrote into its working directory"
+    );
+}
+
+/// Every binary that parses with `SweepArgs`, with a duplicated argument
+/// and, where the binary lacks some sweep flag, a flag it does not take.
+macro_rules! strict_binaries {
+    ($($bin:literal: $($case:expr),+;)+) => {
+        [$((env!(concat!("CARGO_BIN_EXE_", $bin)), vec![$(&$case[..]),+])),+]
+    };
+}
+
+#[test]
+fn every_binary_rejects_bad_arguments_before_doing_work() {
+    let binaries: [(&str, Vec<&[&str]>); 19] = strict_binaries! {
+        "fig5": ["--jobs", "2", "--jobs", "1"];
+        "headline": ["--store", "a", "--store=b"];
+        "ablation_p": ["--probs", "trace", "--probs", "static"];
+        "ablation_shape": ["--workloads", "xlisp", "--workloads", "cc1"];
+        "ablation_predictor": ["--max-rss", "1G", "--max-rss", "2G"];
+        "ablation_future": ["--jobs=1", "--jobs=1"];
+        "ablation_memory": ["--store", "a", "--store", "a"];
+        "riseman_foster": ["--workloads=all", "--workloads=all"];
+        "resolve_location": ["--probs=static", "--probs", "trace"];
+        "predictor_accuracy": ["--jobs", "1", "--jobs", "1"];
+        "workload_stats": ["--store", "a", "--store", "b"], ["--jobs", "2"];
+        "genspace": ["--probs", "trace", "--probs", "trace"], ["--max-rss", "1K"];
+        "levo_eval": ["--jobs", "1", "--jobs", "2"], ["--store", "D"];
+        "static_probs": ["--max-rss", "1G", "--max-rss", "1G"], ["--probs", "trace"];
+        "workload_lint": ["tiny", "tiny"], ["--jobs", "4"];
+        "store_replay": ["tiny", "tiny"], ["--store", "a", "--store", "b"], ["--jobs", "2"];
+        "fig1": ["tiny", "tiny"], ["--store", "D"];
+        "fig2": ["tiny", "tiny"], ["--jobs", "2"];
+        "cost_model": ["tiny", "tiny"], ["--probs", "trace"];
+    };
+    let dir = temp_dir("strict_args");
+    for (exe, own_cases) in &binaries {
+        let mut cases: Vec<&[&str]> = vec![
+            &["--job", "4"],
+            &["tinyy"],
+            &["--engine", "interp"],
+            &["--chunk-records", "7"],
+        ];
+        cases.extend(own_cases);
+        for argv in cases {
+            // The first argument is always the bad one.
+            let token = argv[0].split('=').next().unwrap_or_default();
+            check_rejected(exe, &dir, argv, token);
+        }
+    }
+    // Bad values are typed errors too, never panics.
+    let fig5 = env!("CARGO_BIN_EXE_fig5");
+    let not_a_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    for argv in [
+        &["--jobs", "0"][..],
+        &["--jobs"],
+        &["--max-rss", "lots"],
+        &["--probs", "oracle"],
+        &["--store", not_a_dir],
+    ] {
+        check_rejected(fig5, &dir, argv, argv[0]);
+    }
+    check_rejected(fig5, &dir, &["--workloads", "cc1,gcc"], "gcc");
+    check_rejected(
+        env!("CARGO_BIN_EXE_loadgen"),
+        &dir,
+        &["--job", "4"],
+        "--job",
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
 
 /// The store contract from ISSUE/DESIGN §9: `--store` is invisible in
 /// every output byte. A recording pass (`--jobs 1`, cold store), a
