@@ -158,9 +158,6 @@ pub struct SimConfig {
     /// Defaults to the paper's measured 0.9053; pass the accuracy measured
     /// on your own traces for shape-faithful DEE trees.
     pub p: f64,
-    /// Forward-scan cap for dynamic reconvergence searches in `-CD`
-    /// models; branches whose join lies further away act restrictively.
-    pub max_cd_scan: u32,
     /// Instruction latencies (default: the paper's unit latency).
     pub latency: LatencyModel,
     /// Explicit processing-element limit: at most this many instructions
@@ -190,7 +187,6 @@ impl SimConfig {
             model,
             et,
             p: 0.9053,
-            max_cd_scan: 4096,
             latency: LatencyModel::UNIT,
             max_pe: None,
             dee_shape: None,
@@ -201,13 +197,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_p(mut self, p: f64) -> Self {
         self.p = p;
-        self
-    }
-
-    /// Sets the reconvergence scan cap.
-    #[must_use]
-    pub fn with_max_cd_scan(mut self, cap: u32) -> Self {
-        self.max_cd_scan = cap;
         self
     }
 
@@ -289,16 +278,13 @@ mod tests {
     fn config_defaults() {
         let c = SimConfig::new(Model::Sp, 16);
         assert!((c.p - 0.9053).abs() < 1e-12);
-        assert_eq!(c.max_cd_scan, 4096);
         assert_eq!(c.latency, LatencyModel::UNIT);
         assert_eq!(c.max_pe, None);
         let c = c
             .with_p(0.85)
-            .with_max_cd_scan(100)
             .with_latency(LatencyModel::CLASSIC)
             .with_max_pe(8);
         assert!((c.p - 0.85).abs() < 1e-12);
-        assert_eq!(c.max_cd_scan, 100);
         assert_eq!(c.latency.mul_div, 4);
         assert_eq!(c.max_pe, Some(8));
     }
