@@ -61,9 +61,21 @@ mod tests {
     #[test]
     fn stable_reference_values() {
         // Pinned: these are part of the on-disk format. If this test
-        // fails, the container version must be bumped.
-        assert_eq!(checksum64(b""), checksum64(b""));
-        assert_ne!(checksum64(b""), 0);
+        // fails, the container version must be bumped. The inputs cover
+        // no lane, a tail only, whole lanes only, and lanes plus a tail.
+        let ramp: Vec<u8> = (0u8..=255).collect();
+        let pins: [(&[u8], u64); 7] = [
+            (b"", 0x9ca0_66f1_a4ab_2eea),
+            (b"a", 0xabc5_e246_4830_40b7),
+            (b"ab", 0xf42d_9e35_28fb_c16e),
+            (b"payload", 0xe575_f91e_fc9f_c2d0),
+            (&ramp[..16], 0xdb2b_ca3a_fd9c_e6b6),
+            (&ramp[..19], 0xb47d_6f8c_41c1_bb4b),
+            (&ramp[..], 0xb6a5_44bd_6e1c_19f7),
+        ];
+        for (bytes, pinned) in pins {
+            assert_eq!(checksum64(bytes), pinned, "{} bytes", bytes.len());
+        }
         assert_ne!(checksum64(b"a"), checksum64(b"b"));
         assert_ne!(checksum64(b"ab"), checksum64(b"ba"));
     }

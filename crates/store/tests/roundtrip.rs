@@ -115,3 +115,19 @@ fn republish_is_idempotent_and_keys_separate_scales() {
     assert_eq!(store.list().expect("list").len(), 2);
     std::fs::remove_dir_all(dir).ok();
 }
+
+#[test]
+fn published_container_bytes_are_pinned() {
+    // Pinned: the `DEESTOR1` file `Store::put` writes for compress at
+    // tiny. Its length and checksum cover the container framing, the LZ
+    // token stream and the `DEETRC1` layout at once, so any change to
+    // the bytes on disk fails here and must bump a format version.
+    let (store, dir) = scratch_store("pinned");
+    let workload = dee_workloads::compress::build(Scale::Tiny);
+    let trace = workload.validate().expect("trace");
+    let path = store.put(&key_for(&workload), &trace).expect("publish");
+    let bytes = std::fs::read(&path).expect("read artifact");
+    assert_eq!(bytes.len(), 13_211);
+    assert_eq!(dee_store::checksum64(&bytes), 0x37f4_3756_c76f_e474);
+    std::fs::remove_dir_all(dir).ok();
+}
