@@ -243,6 +243,45 @@ fn bad_requests_get_4xx_not_hangs() {
 }
 
 #[test]
+fn phase_histograms_count_one_observation_per_request() {
+    let server = spawn(2);
+    let addr = server.addr();
+    // API requests whose body reaches the JSON decoder, with the status
+    // each gets; an empty body decodes as `{}`.
+    let decoded = [
+        ("/tree", r#"{"p":0.9,"et":8}"#, 200),
+        ("/simulate", "{not json", 400),
+        ("/simulate", r#"{"workload":"nope"}"#, 400),
+        ("/levo", "", 400),
+    ];
+    for (path, body, status) in decoded {
+        assert_eq!(post(addr, path, body).0, status, "{path} {body:?}");
+    }
+    // Requests that never reach the decoder.
+    assert_eq!(get(addr, "/healthz").0, 200);
+    assert_eq!(get(addr, "/simulate").0, 405);
+    assert_eq!(post(addr, "/nowhere", "{}").0, 404);
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    let count = |phase: &str| {
+        scrape(
+            &metrics,
+            &format!("dee_phase_us_count{{phase=\"{phase}\"}}"),
+        )
+    };
+    assert_eq!(count("serve.parse"), decoded.len() as u64, "{metrics}");
+    // Every body that decoded is rendered once, the malformed one is not.
+    assert_eq!(count("serve.render"), decoded.len() as u64 - 1, "{metrics}");
+    // Every connection waits in the queue once, this scrape included.
+    assert_eq!(
+        count("serve.queue_wait"),
+        decoded.len() as u64 + 4,
+        "{metrics}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn saturated_queue_sheds_load_with_503() {
     // No workers: accepted jobs stay queued, so with capacity 1 the second
     // concurrent request must be refused with 503 before queueing.
