@@ -7,17 +7,8 @@
 //!
 //! ```text
 //! loadgen [--addr HOST:PORT] [--requests N] [--concurrency C]
-//!         [--workers W] [--retries R] [--seed S] [--csv] [--gateway NODES]
-//!         [--range]
+//!         [--workers W] [--retries R] [--seed S] [--csv] [--range]
 //! ```
-//!
-//! `--gateway NODES` drives the sweep through a `dee-cluster` gateway
-//! instead of a bare server: an in-process `LocalCluster` of NODES nodes
-//! is spawned (or `--addr` points at a running gateway), and the summary
-//! reports the cluster-tier health counters — hedge rate, retry-budget
-//! exhaustions, and shed rate — alongside the latency percentiles. With
-//! `--csv` the row lands in `results/cluster_soak.csv`; those numbers are
-//! machine-dependent, so the file is a report, not a golden.
 //!
 //! The sweep cycles models and `E_T` values over two tiny workloads, so
 //! after the two cold preparations every request hits the cache; with the
@@ -45,7 +36,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dee_bench::TextTable;
-use dee_cluster::{ClusterConfig, LocalCluster};
 use dee_serve::{Server, ServerConfig};
 
 const MODELS: [&str; 4] = ["SP", "DEE", "SP-CD-MF", "DEE-CD-MF"];
@@ -62,7 +52,6 @@ struct Args {
     retries: u32,
     seed: u64,
     csv: bool,
-    gateway: Option<usize>,
     range: bool,
 }
 
@@ -75,7 +64,6 @@ fn parse_args() -> Result<Args, String> {
         retries: 3,
         seed: 1,
         csv: false,
-        gateway: None,
         range: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -102,21 +90,12 @@ fn parse_args() -> Result<Args, String> {
                 args.seed = value()?.parse().map_err(|_| "bad --seed".to_string())?;
             }
             "--csv" => args.csv = true,
-            "--gateway" => {
-                args.gateway = Some(value()?.parse().map_err(|_| "bad --gateway".to_string())?);
-            }
             "--range" => args.range = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     if args.requests == 0 || args.concurrency == 0 {
         return Err("--requests and --concurrency must be positive".into());
-    }
-    if args.gateway == Some(0) {
-        return Err("--gateway needs at least one node".into());
-    }
-    if args.range && args.gateway.is_some() {
-        return Err("--range drives a single node; drop --gateway".into());
     }
     Ok(args)
 }
@@ -290,28 +269,12 @@ fn main() {
         }
     };
 
-    // Spawn an in-process server (or cluster) unless one was pointed at.
+    // Spawn an in-process server unless one was pointed at.
     let mut spawned: Option<Server> = None;
-    let mut spawned_cluster: Option<(LocalCluster, std::path::PathBuf)> = None;
     let mut spawned_store: Option<std::path::PathBuf> = None;
-    let addr = match (&args.addr, args.gateway) {
-        (Some(addr), _) => addr.clone(),
-        (None, Some(nodes)) => {
-            let store_root =
-                std::env::temp_dir().join(format!("dee_loadgen_cluster_{}", std::process::id()));
-            std::fs::remove_dir_all(&store_root).ok();
-            let cluster = LocalCluster::launch(ClusterConfig {
-                nodes,
-                store_root: store_root.clone(),
-                node_workers: if args.workers > 0 { args.workers } else { 2 },
-                ..ClusterConfig::default()
-            })
-            .expect("launch cluster");
-            let addr = cluster.gateway_addr().to_string();
-            spawned_cluster = Some((cluster, store_root));
-            addr
-        }
-        (None, None) => {
+    let addr = match &args.addr {
+        Some(addr) => addr.clone(),
+        None => {
             let mut config = ServerConfig::default();
             if args.workers > 0 {
                 config.workers = args.workers;
@@ -437,72 +400,6 @@ fn main() {
 
     let ok = latencies_us.len();
     let rps = ok as f64 / wall.as_secs_f64();
-
-    // Gateway mode: report the cluster-tier health counters the gateway
-    // exports instead of the node-local cache counters.
-    if args.gateway.is_some() {
-        let forwards = scrape(&metrics, "dee_gateway_forwards_total");
-        let hedges = scrape(&metrics, "dee_gateway_hedges_total");
-        let retry_exhausted = scrape(&metrics, "dee_gateway_retry_exhausted_total");
-        let shed = scrape(&metrics, "dee_gateway_shed_total");
-        let seen = scrape(&metrics, "dee_gateway_requests_total");
-        let rate = |part: u64, whole: u64| {
-            if whole > 0 {
-                format!("{:.2}%", 100.0 * part as f64 / whole as f64)
-            } else {
-                "0.00%".to_string()
-            }
-        };
-        let mut table = TextTable::new(&[
-            "requests",
-            "ok",
-            "retried",
-            "abandoned",
-            "errors",
-            "rps",
-            "p50_us",
-            "p99_us",
-            "hedges",
-            "hedge_rate",
-            "retry_exhausted",
-            "shed",
-            "shed_rate",
-        ]);
-        table.row(vec![
-            args.requests.to_string(),
-            ok.to_string(),
-            retried.to_string(),
-            abandoned.to_string(),
-            errors.to_string(),
-            format!("{rps:.1}"),
-            percentile(&latencies_us, 0.50).to_string(),
-            percentile(&latencies_us, 0.99).to_string(),
-            hedges.to_string(),
-            rate(hedges, forwards),
-            retry_exhausted.to_string(),
-            shed.to_string(),
-            rate(shed, seen),
-        ]);
-        println!(
-            "{} requests ({} concurrent clients) through gateway {addr} in {:.2}s",
-            args.requests,
-            args.concurrency,
-            wall.as_secs_f64()
-        );
-        print!("{}", table.render());
-        if args.csv {
-            let path = table.write_csv("cluster_soak.csv").expect("write csv");
-            println!("wrote {} (machine-dependent; not a golden)", path.display());
-        }
-        if let Some((cluster, store_root)) = spawned_cluster {
-            cluster.shutdown();
-            std::fs::remove_dir_all(&store_root).ok();
-        }
-        if errors + abandoned > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
 
     // Range mode: report the snapshot-seek counters instead of the
     // prepared-cache ones, and land the machine-dependent sample in

@@ -1851,6 +1851,27 @@ mod tests {
         let (clean, _) =
             handle_simulate(&fresh, &body, far_deadline(), &FaultPlan::inert(), None).unwrap();
         assert_eq!(hostile.to_string(), clean.to_string());
+        // Publish the trace cleanly; a tripped read then skips the disk
+        // tier (a miss, not a disk hit) and re-traces to the same bytes.
+        cache.clear();
+        handle_simulate(
+            &cache,
+            &body,
+            far_deadline(),
+            &FaultPlan::inert(),
+            Some(&store),
+        )
+        .unwrap();
+        assert_eq!(store.stats().writes.load(Ordering::Relaxed), 1);
+        cache.clear();
+        let misses = store.stats().misses.load(Ordering::Relaxed);
+        let read_plan = FaultPlan::new(7).arm(FaultSite::StoreRead, always);
+        let (skipped, hit) =
+            handle_simulate(&cache, &body, far_deadline(), &read_plan, Some(&store)).unwrap();
+        assert!(!hit);
+        assert_eq!(store.stats().disk_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(store.stats().misses.load(Ordering::Relaxed), misses + 1);
+        assert_eq!(skipped.to_string(), clean.to_string());
         std::fs::remove_dir_all(dir).ok();
     }
 

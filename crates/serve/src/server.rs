@@ -82,9 +82,6 @@ pub struct ServerConfig {
     /// misses, so trace work survives restarts. `None` disables the
     /// tier.
     pub store_dir: Option<PathBuf>,
-    /// Stable identity this node reports on `GET /node`, used by cluster
-    /// peers to tell replicas apart across restarts and respawns.
-    pub node_id: String,
 }
 
 impl Default for ServerConfig {
@@ -105,7 +102,6 @@ impl Default for ServerConfig {
             max_batch_cells: 256,
             faults: Arc::new(FaultPlan::inert()),
             store_dir: None,
-            node_id: "node-0".to_string(),
         }
     }
 }
@@ -174,7 +170,6 @@ struct Shared {
     faults: Arc<FaultPlan>,
     /// Disk cache tier for raw traces; `None` when not configured.
     store: Option<Arc<dee_store::Store>>,
-    node_id: String,
     /// Worker slots, owned jointly by the supervisor (respawns) and
     /// shutdown (final join). `None` marks a slot being respawned.
     slots: Mutex<Vec<Option<JoinHandle<()>>>>,
@@ -234,7 +229,6 @@ impl Server {
             max_batch_cells: config.max_batch_cells,
             faults: config.faults,
             store,
-            node_id: config.node_id,
             slots: Mutex::new(Vec::new()),
         });
         {
@@ -552,12 +546,11 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 const JSON: &str = "application/json";
 const TEXT: &str = "text/plain; charset=utf-8";
-const OCTET: &str = "application/octet-stream";
 
 /// Builds a `{"error": message}` response body.
-fn err_json(status: u16, message: impl Into<String>) -> (u16, &'static str, Vec<u8>) {
+fn err_json(status: u16, message: impl Into<String>) -> (u16, &'static str, String) {
     let body = Json::obj(vec![("error", Json::str(message.into()))]);
-    (status, JSON, body.to_string().into_bytes())
+    (status, JSON, body.to_string())
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -600,7 +593,7 @@ fn serve_job(shared: &Shared, job: Job) -> JobEnd {
                         ("error", Json::str("internal: simulation job panicked")),
                         ("detail", Json::str(panic_message(payload.as_ref()))),
                     ]);
-                    (500, JSON, body.to_string().into_bytes())
+                    (500, JSON, body.to_string())
                 }
             }
         }
@@ -630,7 +623,7 @@ fn serve_job(shared: &Shared, job: Job) -> JobEnd {
     }
     shared.metrics.count_response(status);
     let mut guarded = reader.into_inner();
-    let write_ok = write_response(&mut guarded, status, content_type, &body).is_ok();
+    let write_ok = write_response(&mut guarded, status, content_type, body.as_bytes()).is_ok();
     let stream = guarded.into_inner();
     if !fully_read && write_ok {
         lingering_close(stream);
@@ -643,30 +636,12 @@ fn serve_job(shared: &Shared, job: Job) -> JobEnd {
     }
 }
 
-fn dispatch(shared: &Shared, request: &Request, accepted: Instant) -> (u16, &'static str, Vec<u8>) {
+fn dispatch(shared: &Shared, request: &Request, accepted: Instant) -> (u16, &'static str, String) {
     if shared.faults.trip(FaultSite::JobExecute).is_some() {
         return err_json(500, "injected fault: job_execute");
     }
-    let path = request.path();
-    if let Some(name) = path.strip_prefix("/store/artifact/") {
-        return handle_artifact(shared, request, name);
-    }
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => (200, TEXT, b"ok\n".to_vec()),
-        ("GET", "/node") => {
-            let artifacts = shared
-                .store
-                .as_ref()
-                .and_then(|s| s.list().ok())
-                .map_or(0, |entries| entries.len());
-            let body = Json::obj(vec![
-                ("node_id", Json::str(shared.node_id.clone())),
-                ("artifacts", Json::from(artifacts as u64)),
-                ("workers_alive", Json::from(shared.workers_alive() as u64)),
-            ]);
-            (200, JSON, body.to_string().into_bytes())
-        }
-        ("GET", "/store/digest") => handle_digest(shared),
+    match (request.method.as_str(), request.path()) {
+        ("GET", "/healthz") => (200, TEXT, "ok\n".to_string()),
         ("GET", "/metrics") => {
             let gauges = [
                 ("dee_queue_depth", shared.queue.len() as u64),
@@ -679,17 +654,14 @@ fn dispatch(shared: &Shared, request: &Request, accepted: Instant) -> (u16, &'st
             if let Some(store) = &shared.store {
                 text.push_str(&store.stats().render_metrics());
             }
-            (200, TEXT, text.into_bytes())
+            (200, TEXT, text)
         }
         ("POST", "/simulate")
         | ("POST", "/simulate_range")
         | ("POST", "/tree")
         | ("POST", "/analyze")
         | ("POST", "/levo")
-        | ("POST", "/batch") => {
-            let (status, content_type, body) = handle_api(shared, request, accepted);
-            (status, content_type, body.into_bytes())
-        }
+        | ("POST", "/batch") => handle_api(shared, request, accepted),
         ("GET", "/debug/at") => {
             let deadline = accepted + shared.default_deadline;
             match api::handle_debug_at(
@@ -699,86 +671,16 @@ fn dispatch(shared: &Shared, request: &Request, accepted: Instant) -> (u16, &'st
                 shared.store.as_deref(),
                 &shared.metrics,
             ) {
-                Ok(json) => (200, JSON, json.to_string().into_bytes()),
+                Ok(json) => (200, JSON, json.to_string()),
                 Err(e) => err_json(e.status, e.message),
             }
         }
         (
             _,
-            "/healthz" | "/metrics" | "/node" | "/store/digest" | "/simulate" | "/simulate_range"
-            | "/tree" | "/analyze" | "/levo" | "/batch" | "/debug/at",
+            "/healthz" | "/metrics" | "/simulate" | "/simulate_range" | "/tree" | "/analyze"
+            | "/levo" | "/batch" | "/debug/at",
         ) => err_json(405, "method not allowed"),
         _ => err_json(404, "not found"),
-    }
-}
-
-/// `GET /store/digest` — the anti-entropy exchange: every published
-/// artifact's name, size, and content digest (folded per-chunk `DEESTOR1`
-/// checksums), plus a fold over the whole listing so two converged peers
-/// can agree in one comparison. An armed [`FaultSite::StalePeerStore`]
-/// answers with an empty listing — the signature of a peer that missed a
-/// publish — which delays convergence by a round without corrupting
-/// anything.
-fn handle_digest(shared: &Shared) -> (u16, &'static str, Vec<u8>) {
-    let Some(store) = &shared.store else {
-        return err_json(404, "no store configured");
-    };
-    let entries = if shared.faults.trip(FaultSite::StalePeerStore).is_some() {
-        Vec::new()
-    } else {
-        match store.digest_listing() {
-            Ok(entries) => entries,
-            Err(e) => return err_json(500, format!("digest listing failed: {e}")),
-        }
-    };
-    let fold = dee_store::fold_digests(&entries);
-    let listing: Vec<Json> = entries
-        .iter()
-        .map(|e| {
-            Json::obj(vec![
-                ("name", Json::str(e.name.clone())),
-                ("bytes", Json::from(e.bytes)),
-                ("digest", Json::str(format!("{:016x}", e.digest))),
-            ])
-        })
-        .collect();
-    let body = Json::obj(vec![
-        ("node_id", Json::str(shared.node_id.clone())),
-        ("fold", Json::str(format!("{fold:016x}"))),
-        ("entries", Json::Arr(listing)),
-    ]);
-    (200, JSON, body.to_string().into_bytes())
-}
-
-/// `GET`/`PUT /store/artifact/<name>` — raw container bytes for
-/// replication. Names are validated before touching the filesystem, and
-/// `PUT` goes through [`dee_store::Store::install_artifact`]'s verified
-/// install, so a peer can neither traverse paths nor publish bytes that
-/// fail checksum verification.
-fn handle_artifact(shared: &Shared, request: &Request, name: &str) -> (u16, &'static str, Vec<u8>) {
-    let Some(store) = &shared.store else {
-        return err_json(404, "no store configured");
-    };
-    if !dee_store::valid_artifact_name(name) {
-        return err_json(400, "invalid artifact name");
-    }
-    match request.method.as_str() {
-        "GET" => match store.artifact_bytes(name) {
-            Ok(Some(bytes)) => (200, OCTET, bytes),
-            Ok(None) => err_json(404, "artifact not found"),
-            Err(e) => err_json(500, format!("artifact read failed: {e}")),
-        },
-        "PUT" => match store.install_artifact(name, &request.body) {
-            Ok(installed) => {
-                let body = Json::obj(vec![("installed", Json::Bool(installed))]);
-                (200, JSON, body.to_string().into_bytes())
-            }
-            Err(dee_store::StoreError::Corrupt { detail, .. }) => {
-                err_json(422, format!("artifact failed verification: {detail}"))
-            }
-            Err(e) => err_json(500, format!("artifact install failed: {e}")),
-        },
-        _ => err_json(405, "method not allowed"),
     }
 }
 
@@ -790,24 +692,17 @@ fn handle_api(
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) if !text.trim().is_empty() => text,
         Ok(_) => "{}",
-        Err(_) => {
-            let body = Json::obj(vec![("error", Json::str("body is not UTF-8"))]);
-            return (400, JSON, body.to_string());
-        }
+        Err(_) => return err_json(400, "body is not UTF-8"),
     };
     if shared.faults.trip(FaultSite::JsonDecode).is_some() {
-        let body = Json::obj(vec![("error", Json::str("injected fault: json_decode"))]);
-        return (500, JSON, body.to_string());
+        return err_json(500, "injected fault: json_decode");
     }
     let parse_start = Instant::now();
     let parsed = parse_json(text);
     shared.metrics.phase_parse.record(parse_start.elapsed());
     let body = match parsed {
         Ok(body) => body,
-        Err(message) => {
-            let body = Json::obj(vec![("error", Json::str(format!("json: {message}")))]);
-            return (400, JSON, body.to_string());
-        }
+        Err(message) => return err_json(400, format!("json: {message}")),
     };
     let mut budget = shared.default_deadline;
     if let Some(ms) = body.get("deadline_ms").and_then(Json::as_u64) {

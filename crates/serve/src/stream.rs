@@ -230,6 +230,37 @@ mod tests {
     }
 
     #[test]
+    fn injected_write_error_fails_the_write_then_writes_pass() {
+        use crate::faults::FaultSpec;
+        let (mut client, server) = pair();
+        let plan = FaultPlan::new(11)
+            .arm(
+                FaultSite::SocketWrite,
+                FaultSpec {
+                    error_ppm: 1_000_000,
+                    ..FaultSpec::default()
+                },
+            )
+            .with_fuse(1);
+        let mut guarded = GuardedStream::new(
+            server,
+            Duration::from_secs(2),
+            Duration::from_secs(2),
+            Arc::new(plan),
+        )
+        .unwrap();
+        let err = guarded.write(b"lost").unwrap_err();
+        assert!(err.to_string().contains("socket_write"), "{err}");
+        // The fuse is spent: the next write goes through, and the peer
+        // sees only its bytes.
+        guarded.write_all(b"pong").unwrap();
+        drop(guarded);
+        let mut got = String::new();
+        client.read_to_string(&mut got).unwrap();
+        assert_eq!(got, "pong");
+    }
+
+    #[test]
     fn response_is_writable_after_the_read_budget_is_spent() {
         // Equal read/write budgets (the CLI's --read-budget-ms sets both):
         // a slow client exhausts the read budget, and the 408 must still

@@ -44,12 +44,11 @@
 //! ```
 //!
 //! The magic-plus-trailing-checksum framing is exactly what
-//! [`dee_store::verify_snapshot_bytes`] checks, so the store can verify,
-//! quarantine, and replicate snapshots without understanding this
-//! payload. Snapshots are deterministic — no timestamps, no absolute
-//! paths — so two nodes that cut a snapshot at the same record of the
-//! same artifact publish byte-identical files, which is what lets them
-//! flow through cluster anti-entropy like any other artifact.
+//! [`dee_store::verify_snapshot_bytes`] checks, so the store can verify
+//! and quarantine snapshots without understanding this payload.
+//! Snapshots are deterministic — no timestamps, no absolute paths — so
+//! cutting a snapshot at the same record of the same artifact always
+//! publishes a byte-identical file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

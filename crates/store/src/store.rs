@@ -20,7 +20,7 @@
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom};
+use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -311,26 +311,11 @@ pub struct StoreEntry {
     pub bytes: u64,
 }
 
-/// One artifact's digest, as exchanged by cluster anti-entropy sync.
-/// The digest is Merkle-style: it folds the artifact's per-chunk
-/// `DEESTOR1` raw checksums (read via the footer index, without touching
-/// the payload) together with the total raw length and trace-format
-/// version — so two stores agree on an artifact exactly when their
-/// containers carry the same verified content.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DigestEntry {
-    /// Filename inside the store root.
-    pub name: String,
-    /// File size in bytes.
-    pub bytes: u64,
-    /// Content digest over the container's chunk checksums.
-    pub digest: u64,
-}
-
-/// Whether `name` is an acceptable artifact filename for sync ingest:
-/// the sanitized alphabet the store itself publishes (`[a-z0-9._-]`),
-/// the `.dtrc` or `.dsnp` extension, and no way to escape the store
-/// root.
+/// Whether `name` is an acceptable artifact filename, checked before
+/// [`Store::put_snapshot`] or [`Store::load_snapshot`] touches the
+/// filesystem: the sanitized alphabet the store itself publishes
+/// (`[a-z0-9._-]`), the `.dtrc` or `.dsnp` extension, and no way to
+/// escape the store root.
 #[must_use]
 pub fn valid_artifact_name(name: &str) -> bool {
     !name.is_empty()
@@ -342,46 +327,6 @@ pub fn valid_artifact_name(name: &str) -> bool {
         && name
             .chars()
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "-_.".contains(c))
-}
-
-/// Digests one artifact file from its footer index: seeks to each
-/// chunk's declared raw checksum and folds them with [`checksum64`].
-/// Cost is one footer read plus one 8-byte read per chunk — no payload
-/// decompression.
-///
-/// # Errors
-///
-/// `InvalidData` when the footer is malformed; transport errors pass
-/// through.
-pub fn digest_file(path: &Path) -> io::Result<u64> {
-    let mut file = File::open(path)?;
-    let info = read_info(&mut file)?;
-    let mut acc = Vec::with_capacity(info.chunks.len() * 8 + 16);
-    for chunk in &info.chunks {
-        // Chunk layout: tag(1) raw_len(4) enc_len(4) encoding(1) checksum(8).
-        file.seek(SeekFrom::Start(chunk.offset + 10))?;
-        let mut sum = [0u8; 8];
-        file.read_exact(&mut sum)?;
-        acc.extend_from_slice(&sum);
-    }
-    acc.extend_from_slice(&info.total_raw.to_le_bytes());
-    acc.extend_from_slice(&info.header.trace_format_version.to_le_bytes());
-    Ok(checksum64(&acc))
-}
-
-/// Folds a digest listing into one store-level digest: two stores whose
-/// listings fold to the same value hold the same artifact set with the
-/// same content. Entries must be name-sorted ([`Store::digest_listing`]
-/// returns them that way).
-#[must_use]
-pub fn fold_digests(entries: &[DigestEntry]) -> u64 {
-    let mut acc = Vec::with_capacity(entries.len() * 32);
-    for entry in entries {
-        acc.extend_from_slice(entry.name.as_bytes());
-        acc.push(0);
-        acc.extend_from_slice(&entry.digest.to_le_bytes());
-    }
-    checksum64(&acc)
 }
 
 /// What [`Store::gc`] removed.
@@ -650,127 +595,6 @@ impl Store {
         }
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         Ok(entries)
-    }
-
-    /// Digests every published artifact — traces *and* snapshots — for
-    /// anti-entropy exchange, sorted by name. Trace digests fold the
-    /// container's per-chunk checksums; snapshot digests are a
-    /// [`checksum64`] over the whole (verified) file. Artifacts that fail
-    /// their integrity check are skipped — the read path quarantines them
-    /// on its own, and advertising them to peers would replicate damage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read failures.
-    pub fn digest_listing(&self) -> io::Result<Vec<DigestEntry>> {
-        let mut out = Vec::new();
-        for entry in self.list()? {
-            match digest_file(&self.root.join(&entry.name)) {
-                Ok(digest) => out.push(DigestEntry {
-                    name: entry.name,
-                    bytes: entry.bytes,
-                    digest,
-                }),
-                Err(_) => continue,
-            }
-        }
-        for entry in self.list_snapshots()? {
-            let Ok(bytes) = fs::read(self.root.join(&entry.name)) else {
-                continue;
-            };
-            if verify_snapshot_bytes(&bytes).is_err() {
-                continue;
-            }
-            out.push(DigestEntry {
-                name: entry.name,
-                bytes: entry.bytes,
-                digest: checksum64(&bytes),
-            });
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok(out)
-    }
-
-    /// Reads a published artifact's raw container bytes for replication.
-    /// `Ok(None)` when absent.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on read failures; a name outside the published
-    /// alphabet is rejected as `Io(InvalidInput)` (never resolved against
-    /// the filesystem).
-    pub fn artifact_bytes(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
-        if !valid_artifact_name(name) {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("invalid artifact name `{name}`"),
-            )));
-        }
-        match fs::read(self.root.join(name)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(StoreError::Io(e)),
-        }
-    }
-
-    /// Installs replicated artifact bytes under `name`, fail-closed: the
-    /// bytes are written to `tmp/`, verified end-to-end (every chunk
-    /// checksum, the trace layout, the footer), and only then renamed
-    /// into place — a peer can never publish a half-synced or corrupt
-    /// artifact here. Returns `false` when `name` is already published
-    /// (artifact bytes are deterministic, so same name means same
-    /// content and the install is an idempotent no-op).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when the bytes fail verification (nothing
-    /// is published), [`StoreError::Io`] on invalid names or I/O
-    /// failures.
-    pub fn install_artifact(&self, name: &str, bytes: &[u8]) -> Result<bool, StoreError> {
-        if !valid_artifact_name(name) {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("invalid artifact name `{name}`"),
-            )));
-        }
-        let final_path = self.root.join(name);
-        if final_path.is_file() {
-            return Ok(false);
-        }
-        let unique = format!(
-            "{name}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        );
-        let tmp_path = self.root.join("tmp").join(unique);
-        let stage = |tmp_path: &Path| -> io::Result<()> {
-            fs::write(tmp_path, bytes)?;
-            File::open(tmp_path)?.sync_all()?;
-            Ok(())
-        };
-        if let Err(e) = stage(&tmp_path) {
-            fs::remove_file(&tmp_path).ok();
-            return Err(StoreError::Io(e));
-        }
-        let verdict = if name.ends_with(&format!(".{SNAPSHOT_EXT}")) {
-            verify_snapshot_bytes(bytes)
-        } else {
-            verify_file(&tmp_path).map(|_| ())
-        };
-        if let Err(detail) = verdict {
-            fs::remove_file(&tmp_path).ok();
-            return Err(StoreError::Corrupt {
-                path: final_path,
-                detail,
-                quarantined: None,
-            });
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(true)
     }
 
     /// Publishes snapshot bytes under `name` (a `.dsnp` filename built by

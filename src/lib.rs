@@ -35,11 +35,7 @@
 //! * [`analyze`] — static analysis over toy-ISA programs: CFG dataflow
 //!   (liveness, reaching definitions, constant bounds), typed `DEE-*`
 //!   lints, and the static branch census that cross-checks dynamic traces
-//!   (`dee analyze`);
-//! * [`cluster`] — the sharded, self-healing multi-node serve tier: a
-//!   seeded consistent-hash ring, a hedging/retry-budgeted gateway,
-//!   checksum-based anti-entropy replication, and the `LocalCluster`
-//!   launcher (`dee gateway`, `dee cluster`).
+//!   (`dee analyze`).
 //!
 //! # Quickstart
 //!
@@ -57,7 +53,6 @@
 #![forbid(unsafe_code)]
 
 pub use dee_analyze as analyze;
-pub use dee_cluster as cluster;
 pub use dee_core as theory;
 pub use dee_gen as gen;
 pub use dee_ilpsim as ilpsim;
@@ -73,7 +68,6 @@ pub use dee_workloads as workloads;
 
 /// Convenient re-exports of the most common types.
 pub mod prelude {
-    pub use dee_cluster::{ClusterConfig, Gateway, GatewayConfig, HashRing, LocalCluster};
     pub use dee_core::{StaticTree, TreeParams};
     pub use dee_gen::{generate, GenSpec};
     pub use dee_ilpsim::{simulate, LatencyModel, Model, PreparedTrace, SimConfig, SimOutcome};

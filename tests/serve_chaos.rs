@@ -201,6 +201,56 @@ fn injected_panic_answers_500_then_worker_respawns_then_results_are_byte_identic
     server.shutdown();
 }
 
+const TREE_BODY: &str = r#"{"p":0.9053,"et":50}"#;
+
+/// Arms `site` to fail its first arrival and nothing after, then checks
+/// that the first request is answered `status` with exactly `body`, the
+/// next one is served, and one fault was injected. Returns `/metrics`.
+fn one_fault_then_served(site: FaultSite, status: u16, body: &str) -> String {
+    let plan = FaultPlan::new(1)
+        .arm(
+            site,
+            FaultSpec {
+                error_ppm: 1_000_000,
+                ..FaultSpec::default()
+            },
+        )
+        .with_fuse(1);
+    let server = spawn_with(1, plan);
+    let addr = server.addr();
+    let (first, first_body) = post(addr, "/tree", TREE_BODY);
+    assert_eq!(first, status, "{}: {first_body}", site.name());
+    assert_eq!(first_body, body, "{}", site.name());
+    let (next, next_body) = post(addr, "/tree", TREE_BODY);
+    assert_eq!(next, 200, "{}: {next_body}", site.name());
+    let (_, metrics) = get(addr, "/metrics");
+    server.shutdown();
+    let injected = format!("dee_faults_injected_total{{site=\"{}\"}}", site.name());
+    assert_eq!(scrape(&metrics, &injected), 1, "{metrics}");
+    metrics
+}
+
+#[test]
+fn injected_queue_push_fault_sheds_with_503_then_serves() {
+    let metrics = one_fault_then_served(FaultSite::QueuePush, 503, r#"{"error":"queue full"}"#);
+    assert_eq!(scrape(&metrics, "dee_rejected_queue_full_total"), 1);
+}
+
+#[test]
+fn injected_queue_pop_fault_sheds_with_503_then_serves() {
+    let metrics = one_fault_then_served(FaultSite::QueuePop, 503, r#"{"error":"queue full"}"#);
+    assert_eq!(scrape(&metrics, "dee_rejected_queue_full_total"), 1);
+}
+
+#[test]
+fn injected_json_decode_fault_answers_500_then_serves() {
+    one_fault_then_served(
+        FaultSite::JsonDecode,
+        500,
+        r#"{"error":"injected fault: json_decode"}"#,
+    );
+}
+
 #[test]
 fn chaos_soak_survives_a_hostile_storm() {
     let iterations = env_u64("DEE_CHAOS_ITERS", 300) as usize;
@@ -329,7 +379,7 @@ fn same_seed_produces_the_same_injected_fault_sequence() {
         for i in 0..40 {
             let _ = match i % 2 {
                 0 => post(addr, "/simulate", CLEAN_BODY),
-                _ => post(addr, "/tree", r#"{"p":0.9053,"et":50}"#),
+                _ => post(addr, "/tree", TREE_BODY),
             };
         }
         let counts = deterministic_sites
