@@ -29,7 +29,7 @@ fn recorded_workload_traces_verify_against_the_census() {
         let trace = w.capture_trace().expect("workload traces");
         store.put(&key, &trace).expect("publish");
         // Round-trip through the container, then verify the *replayed*
-        // records — this is the path `Suite::load_with_store` trusts.
+        // records — this is the path `Suite::from_workloads` trusts.
         let replayed = store.load(&key).expect("load").expect("present");
         let census = BranchCensus::build(&w.program);
         let check = census

@@ -17,7 +17,7 @@
 //! Additionally compares Levo's per-row predictor options (2-bit counter
 //! vs speculative PAp, §4.3).
 //!
-//! Usage: `ablation_future [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_future [tiny|small|medium|large] [--jobs N] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
 use dee_bench::{f2, Sweep, TextTable, SUITE_ARGS};
 use dee_ilpsim::{harmonic_mean, simulate, LatencyModel, Model, SimConfig};

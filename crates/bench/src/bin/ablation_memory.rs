@@ -9,7 +9,7 @@
 //! *equally slowed* sequential machine, so they isolate the models'
 //! latency tolerance.
 //!
-//! Usage: `ablation_memory [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_memory [tiny|small|medium|large] [--jobs N] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
 use dee_bench::{f2, pct, Sweep, TextTable, SUITE_ARGS};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};

@@ -13,7 +13,7 @@
 //! that differ from the trace's measured accuracy, showing how mis-sizing
 //! the static tree costs performance.
 //!
-//! Usage: `ablation_p [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_p [tiny|small|medium|large] [--jobs N] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
 use dee_bench::{f2, Sweep, TextTable, SUITE_ARGS};
 use dee_core::{SpecTree, StaticTree, Strategy, TreeParams};

@@ -9,7 +9,7 @@
 //! own measured accuracy. The DEE advantage should survive every
 //! predictor, largest where prediction is worst.
 //!
-//! Usage: `ablation_predictor [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_predictor [tiny|small|medium|large] [--jobs N] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 //! `--probs trace` / `--probs static` append that direction source as an
 //! extra comparison row; the default rows (and the golden CSV) are
 //! unchanged.

@@ -8,7 +8,7 @@
 //! E_T = 100 and sweeps `h_DEE` directly (with `l = E_T − h(h+1)/2`),
 //! comparing each shape's DEE-CD-MF speedup against the heuristic's pick.
 //!
-//! Usage: `ablation_shape [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_shape [tiny|small|medium|large] [--jobs N] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
 use dee_bench::{f2, Sweep, TextTable, SUITE_ARGS};
 use dee_core::{StaticTree, TreeParams};

@@ -2,7 +2,7 @@
 //! five benchmarks, plus the harmonic mean and per-benchmark oracle
 //! speedups.
 //!
-//! Usage: `fig5 [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`
+//! Usage: `fig5 [tiny|small|medium|large] [--jobs N] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`
 //! (default small; the paper-grade run is `medium`). Writes
 //! `results/fig5_<scale>.csv` and `results/fig5_<scale>.svg`.
 //!

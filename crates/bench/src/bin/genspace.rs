@@ -19,15 +19,14 @@
 //! reproduces the program). Output is byte-identical for any `--jobs`;
 //! `results/genspace_tiny.csv` is a committed golden.
 //!
-//! Usage: `genspace [tiny|small|medium|large] [--jobs N] [--store DIR] [--probs predictor|trace|static]`.
+//! Usage: `genspace [tiny|small|medium|large] [--jobs N] [--probs predictor|trace|static]`.
 //! With a non-default `--probs` the per-point accuracy (and so the tree
 //! shape and mispredict marking) comes from that source instead of the
 //! replayed 2-bit counter; the committed golden uses the default.
 
-use dee_bench::{f2, pct, pool, prepare_trace_probs, scale_tag, Arg, SweepArgs, TextTable};
+use dee_bench::{f2, pct, pool, prepare_trace_probs, Arg, SweepArgs, TextTable};
 use dee_gen::{generate, GenSpec};
 use dee_ilpsim::{simulate, Model, SimConfig};
-use dee_store::{ArtifactKey, StoreSource};
 use dee_workloads::Scale;
 
 /// The predictability-knob grid: pred=0 is a coin flip per branch site,
@@ -78,10 +77,8 @@ struct Cell {
 }
 
 fn main() {
-    let args = SweepArgs::from_env("genspace", &[Arg::Scale, Arg::Jobs, Arg::Store, Arg::Probs]);
-    let store = args.open_store();
+    let args = SweepArgs::from_env("genspace", &[Arg::Scale, Arg::Jobs, Arg::Probs]);
     let (scale, probs) = (args.scale(), args.probs);
-    let tag = scale_tag(scale);
 
     let points: Vec<(f64, u64)> = PREDS
         .iter()
@@ -92,46 +89,17 @@ fn main() {
         points.len()
     );
 
-    let store_ref = store.as_ref();
     let cells: Vec<Cell> = pool::run_sweep(
         "genspace",
         args.jobs,
         points
             .iter()
             .map(|&(pred, seed)| {
-                let tag = tag.as_str();
                 move || {
                     let spec = spec_at(pred, scale);
                     let g = generate(&spec, seed)
                         .unwrap_or_else(|e| panic!("pred={pred} seed={seed}: {e}"));
-                    // Same record-once/replay-many contract as the suite:
-                    // the artifact key binds name, scale tag, listing, and
-                    // memory image, so a knob change can never replay a
-                    // stale trace.
-                    let trace = match store_ref {
-                        None => g.trace,
-                        Some(store) => {
-                            let key = ArtifactKey::new(
-                                g.workload.name.as_str(),
-                                tag,
-                                &g.workload.program.to_listing(),
-                                &g.workload.initial_memory,
-                            );
-                            let (trace, source) = store
-                                .get_or_record(&key, || Ok::<_, String>(g.trace.clone()))
-                                .unwrap_or_else(|e| panic!("{}: {e}", g.workload.name));
-                            if source == StoreSource::Disk
-                                && trace.output() != g.workload.expected_output
-                            {
-                                store.quarantine_key(&key);
-                                let _ = store.put(&key, &g.trace);
-                                g.trace
-                            } else {
-                                trace
-                            }
-                        }
-                    };
-                    let prepared = prepare_trace_probs(&g.workload.program, &trace, probs);
+                    let prepared = prepare_trace_probs(&g.workload.program, &g.trace, probs);
                     let accuracy = prepared.accuracy();
                     // The static-tree builder requires p in [0.5, 1); at
                     // the coin-flip end of the grid the measured accuracy
@@ -155,9 +123,6 @@ fn main() {
             })
             .collect(),
     );
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("genspace"));
-    }
 
     let mut header = vec!["name", "seed"];
     header.extend(GenSpec::csv_columns());

@@ -9,7 +9,7 @@
 //! * DEE-CD-MF @ 32 stays high (paper: 26×, the "Levo could be built with
 //!   only 32 branch paths" observation).
 //!
-//! Usage: `headline [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `headline [tiny|small|medium|large] [--jobs N] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 //!
 //! Each benchmark is prepared once and shared across all nine statistic
 //! points via [`dee_bench::pool`]; output is byte-identical for any

@@ -11,7 +11,7 @@
 //!   that needs each outcome before the next prediction degrades, while
 //!   PAp with *speculative* history update holds its accuracy.
 //!
-//! Usage: `predictor_accuracy [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `predictor_accuracy [tiny|small|medium|large] [--jobs N] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
 use dee_bench::{pct, Sweep, TextTable, SUITE_ARGS};
 use dee_isa::Program;

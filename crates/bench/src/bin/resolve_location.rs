@@ -13,7 +13,7 @@
 //! the -MF models spread slightly deeper but stay concentrated at the top
 //! of the tree, which is what makes the DEE paths effective.
 //!
-//! Usage: `resolve_location [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `resolve_location [tiny|small|medium|large] [--jobs N] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
 use dee_bench::{f2, pct, Sweep, TextTable, SUITE_ARGS};
 use dee_core::{StaticTree, TreeParams};

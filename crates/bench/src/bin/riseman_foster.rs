@@ -9,7 +9,7 @@
 //! only with unbounded eager execution. This is exactly the cost explosion
 //! DEE's disjointness is designed to avoid.
 //!
-//! Usage: `riseman_foster [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `riseman_foster [tiny|small|medium|large] [--jobs N] [--workloads LIST] [--probs predictor|trace|static] [--max-rss BYTES]`.
 
 use dee_bench::{f2, Sweep, TextTable, SUITE_ARGS};
 use dee_ilpsim::{harmonic_mean, riseman_foster};

@@ -2,17 +2,14 @@
 //! trace length, branch density, taken rate, mean branch-path length, and
 //! 2-bit-counter prediction accuracy (the paper's characteristic `p`).
 //!
-//! Usage: `workload_stats [tiny|small|medium|large] [--store DIR] [--workloads LIST] [--max-rss BYTES]`
+//! Usage: `workload_stats [tiny|small|medium|large] [--workloads LIST] [--max-rss BYTES]`
 //! (default: small).
 
 use dee_bench::{Arg, Sweep};
 use dee_predict::{measure_accuracy, TwoBitCounter};
 
 fn main() {
-    let sweep = Sweep::load(
-        "workload_stats",
-        &[Arg::Scale, Arg::Store, Arg::Workloads, Arg::MaxRss],
-    );
+    let sweep = Sweep::load("workload_stats", &[Arg::Scale, Arg::Workloads, Arg::MaxRss]);
     println!(
         "{:<10} {:>12} {:>10} {:>8} {:>10} {:>8}",
         "workload", "dyn instrs", "branches", "taken%", "path len", "2bc acc%"

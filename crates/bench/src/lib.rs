@@ -1,6 +1,5 @@
-//! Experiment harness shared by the figure/table-regeneration binaries and
-//! the timing benches (see [`timing`]; the repo carries no external crates,
-//! so the benches use a hand-rolled harness instead of Criterion).
+//! Experiment harness shared by the figure/table-regeneration binaries.
+//! Speed is measured by the repository benchmark (`perfbench/`), not here.
 //!
 //! Every evaluation artifact of the paper has a binary here (see DESIGN.md
 //! §3 for the index):
@@ -35,7 +34,6 @@
 pub mod plot;
 pub mod pool;
 pub mod sweep;
-pub mod timing;
 
 pub use sweep::{Arg, ArgError, Sweep, SweepArgs, SUITE_ARGS};
 
@@ -48,7 +46,7 @@ use dee_ilpsim::{harmonic_mean, DirectionPredictor, PreparedTrace, ProbSource};
 use dee_predict::{measure_accuracy, BranchPredictor, TwoBitCounter};
 use dee_store::{ArtifactKey, Store, StoreSource};
 use dee_vm::{Engine, Trace, TraceChunks};
-use dee_workloads::{all_workloads, Scale, Workload, WorkloadRegistry};
+use dee_workloads::{Scale, Workload, WorkloadRegistry};
 
 /// A validated workload with its captured trace.
 pub struct BenchEntry {
@@ -60,22 +58,10 @@ pub struct BenchEntry {
 
 impl BenchEntry {
     /// Prepares the trace for simulation (predictor replay + CFG
-    /// analysis).
-    #[must_use]
-    pub fn prepare(&self) -> PreparedTrace {
-        PreparedTrace::new(&self.workload.program, &self.trace)
-    }
-
-    /// Streamed preparation: the records flow through
-    /// [`PreparedTrace::from_source`] in `chunk_records`-sized chunks,
-    /// byte-identical to [`prepare`](Self::prepare) at every chunk size.
-    #[must_use]
-    pub fn prepare_chunked(&self, chunk_records: usize) -> PreparedTrace {
-        self.prepare_chunked_with(chunk_records, &mut TwoBitCounter::new())
-    }
-
-    /// [`prepare_chunked`](Self::prepare_chunked) with a caller-supplied
-    /// predictor.
+    /// analysis) with a caller-supplied predictor. The records flow
+    /// through [`PreparedTrace::from_source`] in `chunk_records`-sized
+    /// chunks, byte-identical to [`prepare_trace_probs`] at every chunk
+    /// size.
     #[must_use]
     pub fn prepare_chunked_with(
         &self,
@@ -106,17 +92,28 @@ impl BenchEntry {
     /// chunk size and `--jobs` split.
     #[must_use]
     pub fn prepare_probs(&self, chunk_records: usize, probs: ProbSource) -> PreparedTrace {
-        match probs {
-            ProbSource::Predictor => self.prepare_chunked(chunk_records),
-            ProbSource::Trace => {
-                let mut p = DirectionPredictor::from_counts(&self.direction_counts());
-                self.prepare_chunked_with(chunk_records, &mut p)
-            }
-            ProbSource::Static => {
-                let plan = SpeculationPlan::build(&self.workload.program);
-                let mut p = DirectionPredictor::from_plan(&plan);
-                self.prepare_chunked_with(chunk_records, &mut p)
-            }
+        let mut predictor = predictor_for(&self.workload.program, &self.trace, probs);
+        self.prepare_chunked_with(chunk_records, predictor.as_mut())
+    }
+}
+
+/// The branch predictor behind a probability source: the 2-bit counter
+/// for `predictor`, the trace's majority directions for `trace`, the
+/// static plan's directions for `static`.
+fn predictor_for(
+    program: &dee_isa::Program,
+    trace: &Trace,
+    probs: ProbSource,
+) -> Box<dyn BranchPredictor> {
+    match probs {
+        ProbSource::Predictor => Box::new(TwoBitCounter::new()),
+        ProbSource::Trace => {
+            let counts = trace_direction_counts(trace);
+            Box::new(DirectionPredictor::from_counts(&counts))
+        }
+        ProbSource::Static => {
+            let plan = SpeculationPlan::build(program);
+            Box::new(DirectionPredictor::from_plan(&plan))
         }
     }
 }
@@ -148,17 +145,8 @@ pub fn prepare_trace_probs(
     trace: &Trace,
     probs: ProbSource,
 ) -> PreparedTrace {
-    match probs {
-        ProbSource::Predictor => PreparedTrace::new(program, trace),
-        ProbSource::Trace => {
-            let mut p = DirectionPredictor::from_counts(&trace_direction_counts(trace));
-            PreparedTrace::with_predictor(program, trace, &mut p)
-        }
-        ProbSource::Static => {
-            let mut p = DirectionPredictor::from_plan(&SpeculationPlan::build(program));
-            PreparedTrace::with_predictor(program, trace, &mut p)
-        }
-    }
+    let mut predictor = predictor_for(program, trace, probs);
+    PreparedTrace::with_predictor(program, trace, predictor.as_mut())
 }
 
 /// The five-benchmark suite at a given scale, traced and validated.
@@ -170,35 +158,6 @@ pub struct Suite {
 }
 
 impl Suite {
-    /// Builds, runs, and validates all five workloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any workload fails validation — that is a build error,
-    /// not an experiment outcome.
-    #[must_use]
-    pub fn load(scale: Scale) -> Self {
-        Suite::load_with_store(scale, None)
-    }
-
-    /// Like [`Suite::load`], but record-once/replay-many when a store is
-    /// given: each workload's raw trace is replayed from its published
-    /// artifact when one exists and is intact, and captured on the VM —
-    /// then published — otherwise. A replayed trace is still validated
-    /// against the workload's reference output; disagreement quarantines
-    /// the artifact and falls back to the VM, so the suite a binary
-    /// computes on is byte-identical with and without `--store`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if VM-side workload validation fails, or if a workload
-    /// carries `Error`-severity static-analysis lints — both are build
-    /// errors, not experiment outcomes.
-    #[must_use]
-    pub fn load_with_store(scale: Scale, store: Option<&Store>) -> Self {
-        Suite::from_workloads(all_workloads(scale), scale, store, Engine::default())
-    }
-
     /// Builds a suite over a caller-chosen workload set, resolved through
     /// the builtin [`WorkloadRegistry`] — any mix of the paper five and
     /// the other registered workloads (`synacor`, `sc`), in the order
@@ -210,28 +169,36 @@ impl Suite {
     ///
     /// # Panics
     ///
-    /// As [`Suite::load_with_store`], on validation or lint failure.
-    pub fn load_selected(
-        scale: Scale,
-        names: &[impl AsRef<str>],
-        store: Option<&Store>,
-    ) -> Result<Self, String> {
+    /// As [`Suite::from_workloads`], on validation or lint failure.
+    pub fn load_selected(scale: Scale, names: &[impl AsRef<str>]) -> Result<Self, String> {
         let workloads = WorkloadRegistry::builtin().build_many(names, scale)?;
         Ok(Suite::from_workloads(
             workloads,
             scale,
-            store,
+            None,
             Engine::default(),
         ))
     }
 
     /// The shared trace-capture path: every workload — built-in or
-    /// generated — goes through the same lint gate, store replay,
-    /// quarantine, and validation, traced by the selected engine.
+    /// generated — goes through the same lint gate and validation, traced
+    /// by the selected engine.
+    ///
+    /// With a store, traces are recorded once and replayed after: each
+    /// workload's raw trace is replayed from its published artifact when
+    /// one exists and is intact, and captured on the VM — then published
+    /// — otherwise. A replayed trace must still reproduce the workload's
+    /// reference output and pass the branch-census cross-check; failing
+    /// either quarantines the artifact and falls back to the VM, so the
+    /// suite is byte-identical with and without a store. No sweep binary
+    /// passes one: recapture is faster than replay (EXPERIMENTS.md
+    /// §STORE-REPLAY).
     ///
     /// # Panics
     ///
-    /// As [`Suite::load_with_store`].
+    /// Panics if VM-side workload validation fails, or if a workload
+    /// carries `Error`-severity static-analysis lints — both are build
+    /// errors, not experiment outcomes.
     #[must_use]
     pub fn from_workloads(
         workloads: Vec<Workload>,
@@ -489,10 +456,11 @@ pub const FIG5_RESOURCES: [u32; 6] = [8, 16, 32, 64, 128, 256];
 mod tests {
     use super::*;
     use dee_vm::DEFAULT_CHUNK_RECORDS;
+    use dee_workloads::{all_workloads, PAPER_WORKLOADS};
 
     #[test]
     fn suite_loads_and_validates_tiny() {
-        let suite = Suite::load(Scale::Tiny);
+        let suite = Suite::load_selected(Scale::Tiny, &PAPER_WORKLOADS).expect("known");
         assert_eq!(suite.entries.len(), 5);
         let p = suite.characteristic_accuracy();
         assert!((0.5..1.0).contains(&p), "accuracy {p}");
@@ -523,7 +491,7 @@ mod tests {
 
     #[test]
     fn prepare_probs_sources_are_deterministic_and_ranked() {
-        let suite = Suite::load_selected(Scale::Tiny, &["compress"], None).expect("known");
+        let suite = Suite::load_selected(Scale::Tiny, &["compress"]).expect("known");
         let entry = &suite.entries[0];
         for probs in [ProbSource::Predictor, ProbSource::Trace, ProbSource::Static] {
             let a = entry.prepare_probs(DEFAULT_CHUNK_RECORDS, probs);
@@ -565,11 +533,12 @@ mod tests {
 
     #[test]
     fn chunked_prepare_is_byte_identical_at_any_chunk_size() {
-        let suite = Suite::load_selected(Scale::Tiny, &["compress"], None).expect("known");
+        let suite = Suite::load_selected(Scale::Tiny, &["compress"]).expect("known");
         let entry = &suite.entries[0];
-        let whole = entry.prepare();
+        let whole =
+            prepare_trace_probs(&entry.workload.program, &entry.trace, ProbSource::Predictor);
         for chunk in [1usize, 4093, DEFAULT_CHUNK_RECORDS] {
-            let streamed = entry.prepare_chunked(chunk);
+            let streamed = entry.prepare_probs(chunk, ProbSource::Predictor);
             assert_eq!(streamed.len(), whole.len());
             assert_eq!(streamed.output(), whole.output());
             assert_eq!(streamed.num_paths(), whole.num_paths());
@@ -582,10 +551,10 @@ mod tests {
     #[test]
     fn selected_suite_builds_registry_workloads() {
         let suite =
-            Suite::load_selected(Scale::Tiny, &["synacor", "compress"], None).expect("known names");
+            Suite::load_selected(Scale::Tiny, &["synacor", "compress"]).expect("known names");
         assert_eq!(suite.entries.len(), 2);
         assert_eq!(suite.entries[0].workload.name, "synacor");
-        assert!(Suite::load_selected(Scale::Tiny, &["nope"], None).is_err());
+        assert!(Suite::load_selected(Scale::Tiny, &["nope"]).is_err());
     }
 
     #[test]
@@ -596,9 +565,17 @@ mod tests {
             std::fs::remove_dir_all(&dir).unwrap();
         }
         let store = Store::open(&dir).unwrap();
-        let fresh = Suite::load(Scale::Tiny);
-        let recorded = Suite::load_with_store(Scale::Tiny, Some(&store));
-        let replayed = Suite::load_with_store(Scale::Tiny, Some(&store));
+        let load = |store| {
+            Suite::from_workloads(
+                all_workloads(Scale::Tiny),
+                Scale::Tiny,
+                store,
+                Engine::default(),
+            )
+        };
+        let fresh = load(None);
+        let recorded = load(Some(&store));
+        let replayed = load(Some(&store));
         use std::sync::atomic::Ordering;
         assert_eq!(store.stats().writes.load(Ordering::Relaxed), 5);
         assert_eq!(store.stats().disk_hits.load(Ordering::Relaxed), 5);
@@ -626,14 +603,14 @@ mod tests {
         );
         let wrong = &replayed.entries[0].trace;
         store.put(&key, wrong).unwrap();
-        let healed = Suite::load_with_store(Scale::Tiny, Some(&store));
+        let healed = load(Some(&store));
         assert_eq!(
             healed.entries[4].trace.output(),
             xlisp.expected_output.as_slice()
         );
         assert_eq!(store.stats().quarantined.load(Ordering::Relaxed), 1);
         // The heal republished good content: one more pass replays clean.
-        let again = Suite::load_with_store(Scale::Tiny, Some(&store));
+        let again = load(Some(&store));
         assert_eq!(
             again.entries[4].trace.output(),
             xlisp.expected_output.as_slice()

@@ -9,10 +9,10 @@
 //! line and exits with status 2 before the binary does any work.
 //!
 //! [`Sweep`] drives the binaries that load the workload suite. It parses
-//! the arguments, opens `--store`, loads and validates the suite and
-//! prints the `dee_store_<bin>` line, then offers the remaining shared
-//! steps: the characteristic accuracy under `--probs`, preparing every
-//! trace through the pool, running a cell grid at `--jobs`, writing
+//! the arguments and loads and validates the suite, capturing every trace
+//! on the VM, then offers the remaining shared steps: the characteristic
+//! accuracy under `--probs`, preparing every trace through the pool,
+//! running a cell grid at `--jobs`, writing
 //! `results/<stem>_<scale>.csv` and checking `--max-rss`. Each `main`
 //! keeps only its grid and its tables.
 
@@ -21,7 +21,6 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use dee_ilpsim::{PreparedTrace, ProbSource};
-use dee_store::Store;
 use dee_vm::DEFAULT_CHUNK_RECORDS;
 use dee_workloads::{Scale, WorkloadRegistry, PAPER_WORKLOADS};
 
@@ -33,14 +32,9 @@ pub enum Arg {
     /// At most one positional scale, `tiny|small|medium|large` (default
     /// `small`).
     Scale,
-    /// Any number of distinct positional scales.
-    Scales,
     /// `--jobs N`: pool worker threads (default: the available
     /// parallelism).
     Jobs,
-    /// `--store DIR`: the trace-artifact store to record to and replay
-    /// from.
-    Store,
     /// `--workloads a,b,c` or `--workloads all`: the registry workloads to
     /// load (default: the paper five).
     Workloads,
@@ -54,20 +48,18 @@ pub enum Arg {
 
 /// The flags, by name. Every flag takes a value, as `--flag V` or
 /// `--flag=V`.
-const FLAGS: [(Arg, &str); 5] = [
+const FLAGS: [(Arg, &str); 4] = [
     (Arg::Jobs, "--jobs"),
-    (Arg::Store, "--store"),
     (Arg::Workloads, "--workloads"),
     (Arg::Probs, "--probs"),
     (Arg::MaxRss, "--max-rss"),
 ];
 
-/// `[scale] --jobs --store --workloads --probs --max-rss`: the arguments
-/// of the suite binaries.
+/// `[scale] --jobs --workloads --probs --max-rss`: the arguments of the
+/// suite binaries.
 pub const SUITE_ARGS: &[Arg] = &[
     Arg::Scale,
     Arg::Jobs,
-    Arg::Store,
     Arg::Workloads,
     Arg::Probs,
     Arg::MaxRss,
@@ -77,9 +69,7 @@ impl Arg {
     fn usage(self) -> &'static str {
         match self {
             Arg::Scale => "[tiny|small|medium|large]",
-            Arg::Scales => "[tiny|small|medium|large ...]",
             Arg::Jobs => "[--jobs N]",
-            Arg::Store => "[--store DIR]",
             Arg::Workloads => "[--workloads LIST]",
             Arg::Probs => "[--probs predictor|trace|static]",
             Arg::MaxRss => "[--max-rss BYTES]",
@@ -109,7 +99,7 @@ pub enum ArgError {
         /// The flag.
         flag: String,
     },
-    /// A flag, or a scale of a many-scale binary, given twice.
+    /// A flag given twice.
     Duplicate(String),
     /// A flag with no value.
     MissingValue(String),
@@ -162,12 +152,10 @@ impl std::error::Error for ArgError {}
 /// keep their defaults.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SweepArgs {
-    /// The positional scales, in the order given.
-    pub scales: Vec<Scale>,
+    /// The positional scale, if one was given; see [`SweepArgs::scale`].
+    scale: Option<Scale>,
     /// `--jobs`.
     pub jobs: usize,
-    /// `--store`.
-    pub store: Option<PathBuf>,
     /// `--workloads`, with `all` expanded to every builtin registration.
     pub workloads: Vec<String>,
     /// `--probs`.
@@ -179,7 +167,7 @@ pub struct SweepArgs {
 impl SweepArgs {
     /// Parses `argv` (without the program name) for binary `bin`, which
     /// accepts exactly `accepts`. Flags and the scale may come in any
-    /// order: `fig5 --store traces tiny --jobs 4`.
+    /// order: `fig5 --probs trace tiny --jobs 4`.
     ///
     /// # Errors
     ///
@@ -191,9 +179,8 @@ impl SweepArgs {
         argv: impl IntoIterator<Item = String>,
     ) -> Result<SweepArgs, ArgError> {
         let mut args = SweepArgs {
-            scales: Vec::new(),
+            scale: None,
             jobs: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-            store: None,
             workloads: PAPER_WORKLOADS.iter().map(|n| (*n).to_string()).collect(),
             probs: ProbSource::default(),
             max_rss: None,
@@ -202,7 +189,7 @@ impl SweepArgs {
         let mut argv = argv.into_iter().peekable();
         while let Some(token) = argv.next() {
             if !token.starts_with('-') {
-                args.push_scale(accepts, token)?;
+                args.set_scale(accepts, token)?;
                 continue;
             }
             let (name, inline) = match token.split_once('=') {
@@ -239,7 +226,6 @@ impl SweepArgs {
                         .filter(|&jobs| jobs >= 1)
                         .ok_or_else(|| bad("a positive integer"))?;
                 }
-                Arg::Store => args.store = Some(PathBuf::from(&value)),
                 Arg::Workloads => {
                     let registry = WorkloadRegistry::builtin();
                     args.workloads = if value == "all" {
@@ -266,7 +252,7 @@ impl SweepArgs {
                     args.max_rss =
                         Some(parse_byte_size(&value).ok_or_else(|| bad("BYTES or <N>K|M|G"))?);
                 }
-                Arg::Scale | Arg::Scales => unreachable!("scales are positional"),
+                Arg::Scale => unreachable!("the scale is positional"),
             }
         }
         Ok(args)
@@ -283,35 +269,20 @@ impl SweepArgs {
         })
     }
 
-    /// The scale: the first one given, or `small`.
+    /// The scale given, or `small`.
     #[must_use]
     pub fn scale(&self) -> Scale {
-        self.scales.first().copied().unwrap_or(Scale::Small)
+        self.scale.unwrap_or(Scale::Small)
     }
 
-    /// Opens the `--store` directory, if one was given. On failure, prints
-    /// `error: …` and exits with status 2.
-    #[must_use]
-    pub fn open_store(&self) -> Option<Store> {
-        let dir = self.store.as_ref()?;
-        Some(Store::open(dir).unwrap_or_else(|e| {
-            eprintln!("error: --store {}: {e}", dir.display());
-            std::process::exit(2)
-        }))
-    }
-
-    fn push_scale(&mut self, accepts: &[Arg], token: String) -> Result<(), ArgError> {
-        let room = accepts.contains(&Arg::Scale) && self.scales.is_empty();
-        if !(room || accepts.contains(&Arg::Scales)) {
+    fn set_scale(&mut self, accepts: &[Arg], token: String) -> Result<(), ArgError> {
+        if !accepts.contains(&Arg::Scale) || self.scale.is_some() {
             return Err(ArgError::ExtraPositional(token));
         }
         let Some(scale) = Scale::all().into_iter().find(|&s| scale_tag(s) == token) else {
             return Err(ArgError::UnknownScale(token));
         };
-        if self.scales.contains(&scale) {
-            return Err(ArgError::Duplicate(token));
-        }
-        self.scales.push(scale);
+        self.scale = Some(scale);
         Ok(())
     }
 }
@@ -342,8 +313,7 @@ pub struct Sweep {
 
 impl Sweep {
     /// Parses the process arguments for `bin` (exiting with status 2 on a
-    /// bad one), opens `--store`, loads and validates the suite, and prints
-    /// the `dee_store_<bin>` timing line when a store is in use.
+    /// bad one), then loads and validates the suite.
     ///
     /// # Panics
     ///
@@ -352,13 +322,9 @@ impl Sweep {
     #[must_use]
     pub fn load(bin: &'static str, accepts: &[Arg]) -> Sweep {
         let args = SweepArgs::from_env(bin, accepts);
-        let store = args.open_store();
         eprintln!("loading suite at {:?}...", args.scale());
-        let suite = Suite::load_selected(args.scale(), &args.workloads, store.as_ref())
+        let suite = Suite::load_selected(args.scale(), &args.workloads)
             .expect("SweepArgs::parse checked every workload name");
-        if let Some(store) = &store {
-            eprintln!("{}", store.stats().timing_line(bin));
-        }
         Sweep { bin, args, suite }
     }
 
@@ -439,7 +405,6 @@ mod tests {
         let args = parse(SUITE_ARGS, &[]).unwrap();
         assert_eq!(args.scale(), Scale::Small);
         assert!(args.jobs >= 1);
-        assert_eq!(args.store, None);
         assert_eq!(args.workloads, PAPER_WORKLOADS.to_vec());
         assert_eq!(args.probs, ProbSource::Predictor);
         assert_eq!(args.max_rss, None);
@@ -452,7 +417,6 @@ mod tests {
             &[
                 "--jobs",
                 "3",
-                "--store=traces",
                 "medium",
                 "--probs",
                 "static",
@@ -464,7 +428,6 @@ mod tests {
         .unwrap();
         assert_eq!(args.scale(), Scale::Medium);
         assert_eq!(args.jobs, 3);
-        assert_eq!(args.store, Some(PathBuf::from("traces")));
         assert_eq!(args.probs, ProbSource::Static);
         assert_eq!(args.workloads, ["synacor", "cc1"]);
         assert_eq!(args.max_rss, Some(64 << 20));
@@ -473,11 +436,11 @@ mod tests {
             (args.jobs, args.probs, args.scale()),
             (5, ProbSource::Trace, Scale::Tiny)
         );
-        // A store directory named like a scale is a value, not the scale.
-        assert_eq!(
-            parse(SUITE_ARGS, &["--store", "tiny"]).unwrap().scale(),
-            Scale::Small
-        );
+        // A flag value named like a scale is a value, not the scale.
+        assert!(matches!(
+            parse(SUITE_ARGS, &["--workloads", "tiny"]),
+            Err(ArgError::UnknownWorkload(name)) if name == "tiny"
+        ));
     }
 
     #[test]
@@ -505,14 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn a_many_scale_binary_collects_distinct_scales() {
-        let accepts = [Arg::Scales, Arg::Store];
-        let args = parse(&accepts, &["tiny", "--store", "s", "medium"]).unwrap();
-        assert_eq!(args.scales, [Scale::Tiny, Scale::Medium]);
-        assert!(parse(&accepts, &[]).unwrap().scales.is_empty());
-    }
-
-    #[test]
     fn every_error_names_the_bad_token() {
         let scale_jobs = [Arg::Scale, Arg::Jobs];
         let cases: [(&[Arg], &[&str], ArgError); 13] = [
@@ -527,11 +482,16 @@ mod tests {
                 ArgError::UnknownFlag("--engine".into()),
             ),
             (
+                SUITE_ARGS,
+                &["--store", "traces"],
+                ArgError::UnknownFlag("--store".into()),
+            ),
+            (
                 &scale_jobs,
-                &["--store", "D"],
+                &["--probs", "trace"],
                 ArgError::NotAccepted {
                     bin: "bin".into(),
-                    flag: "--store".into(),
+                    flag: "--probs".into(),
                 },
             ),
             (
@@ -540,19 +500,14 @@ mod tests {
                 ArgError::Duplicate("--jobs".into()),
             ),
             (
-                &[Arg::Scales],
-                &["tiny", "tiny"],
-                ArgError::Duplicate("tiny".into()),
-            ),
-            (
                 SUITE_ARGS,
                 &["--jobs"],
                 ArgError::MissingValue("--jobs".into()),
             ),
             (
                 SUITE_ARGS,
-                &["--store", "--jobs", "2"],
-                ArgError::MissingValue("--store".into()),
+                &["--probs", "--jobs", "2"],
+                ArgError::MissingValue("--probs".into()),
             ),
             (
                 SUITE_ARGS,
@@ -609,7 +564,7 @@ mod tests {
     fn usage_lists_the_accepted_arguments() {
         assert_eq!(
             usage("fig5", SUITE_ARGS),
-            "fig5 [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] \
+            "fig5 [tiny|small|medium|large] [--jobs N] [--workloads LIST] \
              [--probs predictor|trace|static] [--max-rss BYTES]"
         );
         assert_eq!(usage("fig1", &[]), "fig1");

@@ -39,5 +39,5 @@ pub use cache::{CacheKey, PreparedCache, PreparedEntry};
 pub use faults::{FaultPlan, FaultSite, FaultSpec, Injected};
 pub use json::Json;
 pub use metrics::Metrics;
-pub use server::{Server, ServerConfig};
+pub use server::{route_summary, Server, ServerConfig, ROUTES};
 pub use stream::GuardedStream;

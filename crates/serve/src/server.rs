@@ -636,13 +636,55 @@ fn serve_job(shared: &Shared, job: Job) -> JobEnd {
     }
 }
 
+/// Every route the server answers, as `(method, path)`. Another method on
+/// one of these paths is 405, any other path 404, and the `dee serve`
+/// banner lists them through [`route_summary`].
+pub const ROUTES: &[(&str, &str)] = &[
+    ("POST", "/simulate"),
+    ("POST", "/simulate_range"),
+    ("POST", "/tree"),
+    ("POST", "/analyze"),
+    ("POST", "/levo"),
+    ("POST", "/batch"),
+    ("GET", "/debug/at"),
+    ("GET", "/healthz"),
+    ("GET", "/metrics"),
+];
+
+/// [`ROUTES`] as one line, each run of one method named once:
+/// `POST /simulate … /batch, GET /debug/at /healthz /metrics`.
+#[must_use]
+pub fn route_summary() -> String {
+    let mut line = String::new();
+    let mut last = "";
+    for &(method, path) in ROUTES {
+        if method != last {
+            if !line.is_empty() {
+                line.push_str(", ");
+            }
+            line.push_str(method);
+            last = method;
+        }
+        line.push(' ');
+        line.push_str(path);
+    }
+    line
+}
+
 fn dispatch(shared: &Shared, request: &Request, accepted: Instant) -> (u16, &'static str, String) {
     if shared.faults.trip(FaultSite::JobExecute).is_some() {
         return err_json(500, "injected fault: job_execute");
     }
-    match (request.method.as_str(), request.path()) {
-        ("GET", "/healthz") => (200, TEXT, "ok\n".to_string()),
-        ("GET", "/metrics") => {
+    let path = request.path();
+    let Some(&(method, _)) = ROUTES.iter().find(|&&(_, p)| p == path) else {
+        return err_json(404, "not found");
+    };
+    if request.method != method {
+        return err_json(405, "method not allowed");
+    }
+    match path {
+        "/healthz" => (200, TEXT, "ok\n".to_string()),
+        "/metrics" => {
             let gauges = [
                 ("dee_queue_depth", shared.queue.len() as u64),
                 ("dee_cache_entries", shared.cache.len() as u64),
@@ -656,13 +698,7 @@ fn dispatch(shared: &Shared, request: &Request, accepted: Instant) -> (u16, &'st
             }
             (200, TEXT, text)
         }
-        ("POST", "/simulate")
-        | ("POST", "/simulate_range")
-        | ("POST", "/tree")
-        | ("POST", "/analyze")
-        | ("POST", "/levo")
-        | ("POST", "/batch") => handle_api(shared, request, accepted),
-        ("GET", "/debug/at") => {
+        "/debug/at" => {
             let deadline = accepted + shared.default_deadline;
             match api::handle_debug_at(
                 request,
@@ -675,12 +711,7 @@ fn dispatch(shared: &Shared, request: &Request, accepted: Instant) -> (u16, &'st
                 Err(e) => err_json(e.status, e.message),
             }
         }
-        (
-            _,
-            "/healthz" | "/metrics" | "/simulate" | "/simulate_range" | "/tree" | "/analyze"
-            | "/levo" | "/batch" | "/debug/at",
-        ) => err_json(405, "method not allowed"),
-        _ => err_json(404, "not found"),
+        _ => handle_api(shared, request, accepted),
     }
 }
 

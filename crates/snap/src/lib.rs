@@ -57,7 +57,7 @@ use dee_store::{
     checksum64, compress, decompress, verify_snapshot_bytes, ArtifactKey, Store, SNAPSHOT_EXT,
     SNAPSHOT_MAGIC,
 };
-use dee_vm::MachineState;
+use dee_vm::{MachineState, DEFAULT_MEM_WORDS};
 
 /// Version of the `DEESNAP1` payload layout.
 pub const SNAP_VERSION: u32 = 1;
@@ -273,6 +273,10 @@ impl<'a> Cursor<'a> {
         Cursor { bytes, pos: 0 }
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
@@ -405,12 +409,32 @@ impl Snapshot {
         let depth = cur.u32()?;
         let executed = cur.u64()?;
         let output_len = cur.counted("output")?;
+        // Each output word takes 4 bytes, so a count the body cannot hold
+        // is refused before it sizes an allocation.
+        if output_len > cur.remaining() / 4 {
+            return Err(format!(
+                "snapshot output count {output_len} exceeds its {} remaining bytes",
+                cur.remaining()
+            ));
+        }
         let mut output = Vec::with_capacity(output_len);
         for _ in 0..output_len {
             output.push(cur.i32()?);
         }
         let mem_words = cur.counted("memory")?;
+        // Every snapshot is cut from a `Machine::new()`, so a larger image
+        // is corrupt, and refusing it bounds the image built below.
+        if mem_words > DEFAULT_MEM_WORDS {
+            return Err(format!(
+                "snapshot memory of {mem_words} words exceeds the machine's {DEFAULT_MEM_WORDS}"
+            ));
+        }
         let dirty = cur.counted("memory-dirty")?;
+        if dirty > mem_words {
+            return Err(format!(
+                "snapshot has {dirty} dirty words in a {mem_words}-word memory"
+            ));
+        }
         let enc_len = cur.counted("memory-delta")?;
         let encoded = cur.take(enc_len)?;
         let delta = decompress(encoded, dirty * 8)?;
@@ -716,6 +740,41 @@ mod tests {
         // Truncations too.
         for cut in [0, 7, 8, bytes.len() / 2, bytes.len() - 1] {
             assert!(Snapshot::decode(&bytes[..cut], &initial).is_err());
+        }
+    }
+
+    #[test]
+    fn resealed_counts_are_refused_before_they_size_an_allocation() {
+        let initial = vec![1, 2, 3];
+        let snap = mid_run_snapshot(&initial);
+        let bytes = snap.encode(&initial);
+        // Header, then regs, pc, halted, depth and executed, then the
+        // output count; the memory and dirty counts follow the output.
+        let output_at = SNAPSHOT_MAGIC.len() + 24 + 4 + 4 * MachineState::REG_COUNT + 17;
+        let memory_at = output_at + 4 + 4 * snap.machine.output.len();
+        let count = |bytes: &[u8], at: usize| {
+            u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+        };
+        assert_eq!(count(&bytes, output_at), snap.machine.output.len());
+        assert_eq!(count(&bytes, memory_at), snap.machine.mem.len());
+        let dirty = snap.machine.mem.len() as u32 + 1;
+        for (at, value, named) in [
+            (memory_at, 1u32 << 28, "memory"),
+            (output_at, 1 << 28, "output"),
+            (memory_at + 4, dirty, "dirty"),
+        ] {
+            // Patch the count and reseal: the checksum passes, so only the
+            // field decoder stands between the count and an allocation.
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            let end = bad.len() - 8;
+            let sum = checksum64(&bad[..end]);
+            bad[end..].copy_from_slice(&sum.to_le_bytes());
+            assert!(verify_snapshot_bytes(&bad).is_ok(), "{named}: not resealed");
+            match Snapshot::decode(&bad, &initial) {
+                Ok(_) => panic!("{named}: a resealed count of {value} decoded"),
+                Err(err) => assert!(err.contains(named), "{named}: {err}"),
+            }
         }
     }
 

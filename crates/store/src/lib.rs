@@ -284,15 +284,26 @@ mod tests {
         assert_ne!(a.digest, b.digest, "program content keyed");
         assert_ne!(a.digest, c.digest, "memory content keyed");
         let weird = ArtifactKey::new("Prog/RAM: 1", "A D-HOC", "l", &[]);
-        assert!(weird
-            .filename()
-            .chars()
-            .all(|ch| ch.is_ascii_lowercase() || ch.is_ascii_digit() || "-_.".contains(ch)));
-        assert!(weird.filename().ends_with(".dtrc"));
-        assert!(valid_artifact_name(&a.filename()));
-        assert!(valid_artifact_name(&weird.filename()));
-        // Hostile names are refused before any filesystem access.
-        for name in ["../escape.dtrc", "UPPER.dtrc", "x/y.dtrc", "", "plain"] {
+        for name in [a.filename(), weird.filename()] {
+            assert!(
+                name.chars()
+                    .all(|ch| ch.is_ascii_lowercase() || ch.is_ascii_digit() || "-_.".contains(ch)),
+                "{name}"
+            );
+            assert!(!name.contains(".."), "{name}");
+            assert!(name.ends_with(".dtrc"), "{name}");
+        }
+        // Snapshot names are checked before any filesystem access: hostile
+        // ones, and any other extension, are refused.
+        assert!(valid_artifact_name("xlisp-tiny-r4096.dsnp"));
+        for name in [
+            "../escape.dsnp",
+            "UPPER.dsnp",
+            "x/y.dsnp",
+            "",
+            "plain",
+            &a.filename(),
+        ] {
             assert!(!valid_artifact_name(name), "{name}");
         }
     }

@@ -285,21 +285,6 @@ impl StoreStats {
         );
         out
     }
-
-    /// One-line stderr summary, shaped like the bench pool's
-    /// `dee_bench_pool_*` line (stderr, so stdout stays byte-identical).
-    #[must_use]
-    pub fn timing_line(&self, name: &str) -> String {
-        format!(
-            "dee_store_{name}: hits={} misses={} writes={} quarantined={} replay_ms={:.1} trace_ms={:.1}",
-            self.disk_hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.writes.load(Ordering::Relaxed),
-            self.quarantined.load(Ordering::Relaxed),
-            self.replay_nanos.load(Ordering::Relaxed) as f64 / 1e6,
-            self.trace_nanos.load(Ordering::Relaxed) as f64 / 1e6,
-        )
-    }
 }
 
 /// One published artifact, as listed by [`Store::list`].
@@ -311,17 +296,16 @@ pub struct StoreEntry {
     pub bytes: u64,
 }
 
-/// Whether `name` is an acceptable artifact filename, checked before
+/// Whether `name` is an acceptable snapshot filename, checked before
 /// [`Store::put_snapshot`] or [`Store::load_snapshot`] touches the
 /// filesystem: the sanitized alphabet the store itself publishes
-/// (`[a-z0-9._-]`), the `.dtrc` or `.dsnp` extension, and no way to
-/// escape the store root.
+/// (`[a-z0-9._-]`), the `.dsnp` extension, and no way to escape the
+/// store root.
 #[must_use]
 pub fn valid_artifact_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 255
-        && (name.ends_with(&format!(".{ARTIFACT_EXT}"))
-            || name.ends_with(&format!(".{SNAPSHOT_EXT}")))
+        && name.ends_with(&format!(".{SNAPSHOT_EXT}"))
         && !name.starts_with('.')
         && !name.contains("..")
         && name
@@ -609,7 +593,7 @@ impl Store {
     /// [`StoreError::Corrupt`] when the bytes fail framing verification
     /// (nothing is published), [`StoreError::Io`] on I/O failures.
     pub fn put_snapshot(&self, name: &str, bytes: &[u8]) -> Result<PathBuf, StoreError> {
-        if !valid_artifact_name(name) || !name.ends_with(&format!(".{SNAPSHOT_EXT}")) {
+        if !valid_artifact_name(name) {
             return Err(StoreError::Io(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("invalid snapshot name `{name}`"),
@@ -657,7 +641,7 @@ impl Store {
     /// `Io(InvalidInput)` on an invalid name, [`StoreError::Corrupt`] on
     /// verification failure, [`StoreError::Io`] otherwise.
     pub fn load_snapshot(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
-        if !valid_artifact_name(name) || !name.ends_with(&format!(".{SNAPSHOT_EXT}")) {
+        if !valid_artifact_name(name) {
             return Err(StoreError::Io(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("invalid snapshot name `{name}`"),

@@ -4,7 +4,7 @@
 //!
 //! The reference interpreter ([`Machine`]) re-matches the full [`Instr`]
 //! enum and re-filters `r0` on every dynamic step. For trace capture that
-//! per-step work dominates `store_replay` and the sweep binaries. The
+//! per-step work dominates the sweep binaries and `dee trace record`. The
 //! decoded engine (modeled on classic decoded-opcode emulators) does all
 //! per-instruction analysis once, at compile time:
 //!

@@ -889,10 +889,10 @@ fn run(args: &[String]) -> Result<(), String> {
             let workers = config.workers;
             let server = dee::serve::Server::spawn(config).map_err(|e| e.to_string())?;
             println!(
-                "dee-serve listening on http://{} ({workers} workers); endpoints: \
-                 POST /simulate /simulate_range /tree /analyze /levo /batch, \
-                 GET /debug/at /healthz /metrics; Ctrl-C to stop",
-                server.addr()
+                "dee-serve listening on http://{} ({workers} workers); endpoints: {}; \
+                 Ctrl-C to stop",
+                server.addr(),
+                dee::serve::route_summary()
             );
             dee::serve::signal::install();
             while !dee::serve::signal::interrupted() {

@@ -5,12 +5,13 @@
 //! stack produces. The worker pool, queue, and cache must be transparent
 //! to results.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use dee::ilpsim::{simulate, Model, PreparedTrace, SimConfig};
-use dee::serve::{outcome_json, tree_json, Json, Server, ServerConfig};
+use dee::serve::{outcome_json, tree_json, Json, Server, ServerConfig, ROUTES};
 use dee::theory::{StaticTree, TreeParams};
 use dee::workloads::Scale;
 
@@ -240,6 +241,52 @@ fn bad_requests_get_4xx_not_hangs() {
     assert_eq!(post(addr, "/nowhere", "{}").0, 404);
     assert_eq!(get(addr, "/simulate").0, 405);
     server.shutdown();
+}
+
+#[test]
+fn every_route_answers_its_method_and_405s_any_other_and_the_banner_lists_it() {
+    let server = spawn(2);
+    let addr = server.addr();
+    let status = |method: &str, path: &str| {
+        let raw = format!(
+            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: 2\r\n\
+             Connection: close\r\n\r\n{{}}"
+        );
+        exchange(addr, &raw).0
+    };
+    for &(method, path) in ROUTES {
+        assert_ne!(status(method, path), 404, "{method} {path}");
+        for other in ["GET", "POST", "PUT", "DELETE"] {
+            if other != method {
+                assert_eq!(status(other, path), 405, "{other} {path}");
+            }
+        }
+    }
+    server.shutdown();
+
+    // The `dee serve` banner names every route, grouped by method.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dee"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn dee serve");
+    let mut banner = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut banner)
+        .expect("read banner");
+    child.kill().ok();
+    child.wait().ok();
+    let listed = banner
+        .split_once("endpoints: ")
+        .and_then(|(_, rest)| rest.split_once(';'))
+        .map_or("", |(routes, _)| routes);
+    let mut named = Vec::new();
+    for group in listed.split(", ") {
+        let mut words = group.split_whitespace();
+        let method = words.next().unwrap_or_default();
+        named.extend(words.map(|path| (method, path)));
+    }
+    assert_eq!(named, ROUTES, "banner: {banner}");
 }
 
 #[test]
