@@ -16,9 +16,10 @@
 
 use dee_analyze::SpeculationPlan;
 use dee_bench::{f2, pct, BenchEntry, Sweep, TextTable, SUITE_ARGS};
-use dee_ilpsim::{harmonic_mean, simulate, DirectionPredictor, Model, ProbSource, SimConfig};
+use dee_ilpsim::{
+    harmonic_mean, simulate, DirectionPredictor, Model, PreparedTrace, ProbSource, SimConfig,
+};
 use dee_predict::{BranchPredictor, Btfn, Gshare, PapAdaptive, TwoBitCounter};
-use dee_vm::DEFAULT_CHUNK_RECORDS;
 
 /// Prepares one entry under one predictor kind; the prepared trace is
 /// shared by the SP-CD-MF and DEE-CD-MF simulations of the cell.
@@ -45,7 +46,8 @@ fn run_cell(kind: &str, entry: &BenchEntry, et: u32) -> (f64, f64, f64) {
         ))),
         _ => Box::new(Gshare::default()),
     };
-    let prepared = entry.prepare_chunked_with(DEFAULT_CHUNK_RECORDS, predictor.as_mut());
+    let prepared =
+        PreparedTrace::with_predictor(&entry.workload.program, &entry.trace, predictor.as_mut());
     let p = prepared.accuracy();
     let sp = simulate(&prepared, &SimConfig::new(Model::SpCdMf, et).with_p(p)).speedup();
     let dee = simulate(&prepared, &SimConfig::new(Model::DeeCdMf, et).with_p(p)).speedup();

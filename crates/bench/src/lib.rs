@@ -45,7 +45,7 @@ use dee_analyze::{DirectionCounts, SpeculationPlan};
 use dee_ilpsim::{harmonic_mean, DirectionPredictor, PreparedTrace, ProbSource};
 use dee_predict::{measure_accuracy, BranchPredictor, TwoBitCounter};
 use dee_store::{ArtifactKey, Store, StoreSource};
-use dee_vm::{Engine, Trace, TraceChunks};
+use dee_vm::{Engine, Trace};
 use dee_workloads::{Scale, Workload, WorkloadRegistry};
 
 /// A validated workload with its captured trace.
@@ -57,27 +57,6 @@ pub struct BenchEntry {
 }
 
 impl BenchEntry {
-    /// Prepares the trace for simulation (predictor replay + CFG
-    /// analysis) with a caller-supplied predictor. The records flow
-    /// through [`PreparedTrace::from_source`] in `chunk_records`-sized
-    /// chunks, byte-identical to [`prepare_trace_probs`] at every chunk
-    /// size.
-    #[must_use]
-    pub fn prepare_chunked_with(
-        &self,
-        chunk_records: usize,
-        predictor: &mut dyn BranchPredictor,
-    ) -> PreparedTrace {
-        let mut source = TraceChunks::new(&self.trace);
-        PreparedTrace::from_source(
-            &self.workload.program,
-            &mut source,
-            chunk_records,
-            predictor,
-        )
-        .expect("in-memory chunk source cannot fail")
-    }
-
     /// Empirical per-branch direction counts from the captured trace (the
     /// trace-oracle profile behind `--probs trace`).
     #[must_use]
@@ -85,15 +64,16 @@ impl BenchEntry {
         trace_direction_counts(&self.trace)
     }
 
-    /// Streamed preparation under a chosen probability source: the 2-bit
+    /// Prepares the trace under a chosen probability source: the 2-bit
     /// counter (`predictor`, the historical default), the trace's own
     /// majority directions (`trace`), or the static plan's directions
-    /// (`static`, profile-free). All three are byte-deterministic at any
-    /// chunk size and `--jobs` split.
+    /// (`static`, profile-free), in one pass over the whole trace
+    /// ([`prepare_trace_probs`]). `_chunk_records` is ignored; it is kept
+    /// because the repository benchmark (`perfbench/`) passes
+    /// [`dee_vm::DEFAULT_CHUNK_RECORDS`] there.
     #[must_use]
-    pub fn prepare_probs(&self, chunk_records: usize, probs: ProbSource) -> PreparedTrace {
-        let mut predictor = predictor_for(&self.workload.program, &self.trace, probs);
-        self.prepare_chunked_with(chunk_records, predictor.as_mut())
+    pub fn prepare_probs(&self, _chunk_records: usize, probs: ProbSource) -> PreparedTrace {
+        prepare_trace_probs(&self.workload.program, &self.trace, probs)
     }
 }
 
@@ -137,8 +117,7 @@ pub fn trace_direction_counts(trace: &Trace) -> BTreeMap<u32, DirectionCounts> {
 
 /// Prepares one `(program, trace)` pair under a probability source —
 /// [`BenchEntry::prepare_probs`] for callers outside the five-benchmark
-/// suite. Whole-trace (unchunked) preparation; byte-identical to the
-/// chunked path over the same stream.
+/// suite.
 #[must_use]
 pub fn prepare_trace_probs(
     program: &dee_isa::Program,
@@ -455,7 +434,6 @@ pub const FIG5_RESOURCES: [u32; 6] = [8, 16, 32, 64, 128, 256];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dee_vm::DEFAULT_CHUNK_RECORDS;
     use dee_workloads::{all_workloads, PAPER_WORKLOADS};
 
     #[test]
@@ -494,12 +472,12 @@ mod tests {
         let suite = Suite::load_selected(Scale::Tiny, &["compress"]).expect("known");
         let entry = &suite.entries[0];
         for probs in [ProbSource::Predictor, ProbSource::Trace, ProbSource::Static] {
-            let a = entry.prepare_probs(DEFAULT_CHUNK_RECORDS, probs);
+            let a = entry.prepare_probs(0, probs);
             let b = entry.prepare_probs(64, probs);
             assert_eq!(
                 a.num_mispredicts(),
                 b.num_mispredicts(),
-                "{} diverges across chunk sizes",
+                "{} diverges between runs",
                 probs.name()
             );
             assert!(
@@ -510,8 +488,8 @@ mod tests {
         }
         // The trace oracle is the best fixed per-branch direction, so the
         // static plan cannot beat it on the same trace.
-        let oracle = entry.prepare_probs(DEFAULT_CHUNK_RECORDS, ProbSource::Trace);
-        let plan = entry.prepare_probs(DEFAULT_CHUNK_RECORDS, ProbSource::Static);
+        let oracle = entry.prepare_probs(0, ProbSource::Trace);
+        let plan = entry.prepare_probs(0, ProbSource::Static);
         assert!(
             plan.accuracy() <= oracle.accuracy() + 1e-12,
             "static {} vs oracle {}",
@@ -529,23 +507,6 @@ mod tests {
             enforce_max_rss(Some(u64::MAX));
         }
         enforce_max_rss(None);
-    }
-
-    #[test]
-    fn chunked_prepare_is_byte_identical_at_any_chunk_size() {
-        let suite = Suite::load_selected(Scale::Tiny, &["compress"]).expect("known");
-        let entry = &suite.entries[0];
-        let whole =
-            prepare_trace_probs(&entry.workload.program, &entry.trace, ProbSource::Predictor);
-        for chunk in [1usize, 4093, DEFAULT_CHUNK_RECORDS] {
-            let streamed = entry.prepare_probs(chunk, ProbSource::Predictor);
-            assert_eq!(streamed.len(), whole.len());
-            assert_eq!(streamed.output(), whole.output());
-            assert_eq!(streamed.num_paths(), whole.num_paths());
-            assert_eq!(streamed.num_branches(), whole.num_branches());
-            assert_eq!(streamed.num_mispredicts(), whole.num_mispredicts());
-            assert!((streamed.accuracy() - whole.accuracy()).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -21,10 +21,9 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use dee_ilpsim::{PreparedTrace, ProbSource};
-use dee_vm::DEFAULT_CHUNK_RECORDS;
 use dee_workloads::{Scale, WorkloadRegistry, PAPER_WORKLOADS};
 
-use crate::{enforce_max_rss, pool, scale_tag, Suite, TextTable};
+use crate::{enforce_max_rss, pool, prepare_trace_probs, Suite, TextTable};
 
 /// One argument a dee-bench binary may accept.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -279,7 +278,7 @@ impl SweepArgs {
         if !accepts.contains(&Arg::Scale) || self.scale.is_some() {
             return Err(ArgError::ExtraPositional(token));
         }
-        let Some(scale) = Scale::all().into_iter().find(|&s| scale_tag(s) == token) else {
+        let Some(scale) = Scale::from_name(&token) else {
             return Err(ArgError::UnknownScale(token));
         };
         self.scale = Some(scale);
@@ -344,7 +343,7 @@ impl Sweep {
             self.suite
                 .entries
                 .iter()
-                .map(|e| move || e.prepare_probs(DEFAULT_CHUNK_RECORDS, probs))
+                .map(|e| move || prepare_trace_probs(&e.workload.program, &e.trace, probs))
                 .collect(),
         )
     }

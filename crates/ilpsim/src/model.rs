@@ -36,6 +36,32 @@ impl Model {
         ]
     }
 
+    /// All eight models: the seven constrained ones in the paper's
+    /// listing order, then the oracle.
+    #[must_use]
+    pub fn all() -> [Model; 8] {
+        let [ee, sp, dee, sp_cd, dee_cd, sp_cd_mf, dee_cd_mf] = Model::all_constrained();
+        [
+            ee,
+            sp,
+            dee,
+            sp_cd,
+            dee_cd,
+            sp_cd_mf,
+            dee_cd_mf,
+            Model::Oracle,
+        ]
+    }
+
+    /// The model whose [`name`](Self::name) is `name`, ignoring ASCII
+    /// case.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Model> {
+        Model::all()
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(name))
+    }
+
     /// The paper's name for the model.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -248,7 +274,7 @@ mod tests {
 
     #[test]
     fn names_match_paper() {
-        let names: Vec<&str> = Model::all_constrained().iter().map(|m| m.name()).collect();
+        let names: Vec<&str> = Model::all().iter().map(|m| m.name()).collect();
         assert_eq!(
             names,
             vec![
@@ -258,10 +284,15 @@ mod tests {
                 "SP-CD",
                 "DEE-CD",
                 "SP-CD-MF",
-                "DEE-CD-MF"
+                "DEE-CD-MF",
+                "Oracle"
             ]
         );
+        assert_eq!(Model::all()[..7], Model::all_constrained());
         assert_eq!(Model::Oracle.to_string(), "Oracle");
+        for model in Model::all() {
+            assert_eq!(Model::from_name(&model.name().to_lowercase()), Some(model));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use dee_isa::cfg::Cfg;
 use dee_isa::{AluOp, Instr, Program};
 use dee_predict::{BranchPredictor, TwoBitCounter};
-use dee_vm::{Trace, TraceChunkSource, TraceRecord};
+use dee_vm::{Trace, TraceRecord};
 
 /// A trace annotated with everything the models need: per-record
 /// misprediction flags (from a predictor replay) and, per mispredict, the
@@ -13,9 +13,9 @@ use dee_vm::{Trace, TraceChunkSource, TraceRecord};
 /// holding the 40-byte [`TraceRecord`]s, the models' hot loops read one
 /// dense per-record column (`meta`, 4 bytes/record) plus the load and
 /// store address streams and the per-mispredict `cd_end` index. Nothing
-/// here borrows the input trace, so a prepared trace can be built
-/// incrementally from bounded chunks (see [`PreparedTraceBuilder`]) and
-/// the full record vector never needs to exist in memory at all.
+/// here borrows the input trace, so a prepared trace can be built one
+/// record at a time (see [`PreparedTraceBuilder`]): a stored artifact
+/// streams into it without its record vector ever existing in memory.
 #[derive(Clone, Debug)]
 pub struct PreparedTrace {
     /// Number of dynamic records.
@@ -78,42 +78,10 @@ impl PreparedTrace {
     ) -> Self {
         let mut builder = PreparedTraceBuilder::new(program, predictor);
         builder.reserve(trace.len());
-        builder.push_chunk(trace.records());
+        for record in trace.records() {
+            builder.push_record(record);
+        }
         builder.finish(trace.output().to_vec())
-    }
-
-    /// Prepares a trace incrementally from a chunked producer, pulling at
-    /// most `chunk_records` records at a time: the steady-state footprint
-    /// is the columnar output plus one chunk buffer, never the full record
-    /// vector. Byte-identical to [`with_predictor`](Self::with_predictor)
-    /// over the same stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's transport/execution error.
-    pub fn from_source(
-        program: &Program,
-        source: &mut dyn TraceChunkSource,
-        chunk_records: usize,
-        predictor: &mut dyn BranchPredictor,
-    ) -> Result<Self, String> {
-        let chunk = chunk_records.max(1);
-        let mut builder = PreparedTraceBuilder::new(program, predictor);
-        if let Some(hint) = source.len_hint() {
-            // Trust the hint only up to a sane bound; hostile headers can
-            // claim anything, and the columns grow fine without it.
-            builder.reserve(usize::try_from(hint).unwrap_or(usize::MAX).min(1 << 20));
-        }
-        let mut buf: Vec<TraceRecord> = Vec::with_capacity(chunk);
-        loop {
-            buf.clear();
-            if source.next_chunk(&mut buf, chunk)? == 0 {
-                break;
-            }
-            builder.push_chunk(&buf);
-        }
-        let output = source.take_output()?;
-        Ok(builder.finish(output))
     }
 
     /// Attaches per-record memory-access latencies (one entry per dynamic
@@ -201,8 +169,8 @@ impl PreparedTrace {
     }
 }
 
-/// Incremental [`PreparedTrace`] construction: feed records in order
-/// (whole traces or bounded chunks), then [`finish`](Self::finish).
+/// Incremental [`PreparedTrace`] construction: feed records in order,
+/// one at a time, then [`finish`](Self::finish).
 ///
 /// The CFG analysis (each branch direction's join) and the per-pc latency
 /// classes depend only on the *program*, so they are computed once up
@@ -215,8 +183,8 @@ impl PreparedTrace {
 /// (a join further away, or none, counts as lying at the cap), or
 /// `u32::MAX` when the predicted direction has no join. A mispredict with
 /// a join waits at that pc; a per-pc flag keeps every other record's cost
-/// to one load. The index is a function of the record stream alone, so
-/// feeding the same records in any chunking yields bit-identical results.
+/// to one load. The index is a function of the record stream alone, so it
+/// needs no lookahead past the record being pushed.
 pub struct PreparedTraceBuilder<'p> {
     class_of: Vec<InstrClass>,
     /// Per pc and predicted direction: the join pc (see `cd_joins`).
@@ -355,13 +323,6 @@ impl<'p> PreparedTraceBuilder<'p> {
             true
         });
         self.has_waiters[pc] = !self.waiters[pc].is_empty();
-    }
-
-    /// Pushes a batch of records in order.
-    pub fn push_chunk(&mut self, records: &[TraceRecord]) {
-        for record in records {
-            self.push_record(record);
-        }
     }
 
     /// Number of records pushed so far.
@@ -529,7 +490,7 @@ fn reaches_without(cfg: &Cfg, from: u32, goal: u32, avoid: Option<u32>) -> bool 
 mod tests {
     use super::*;
     use dee_isa::{Assembler, Reg};
-    use dee_vm::{trace_program, TraceChunks};
+    use dee_vm::trace_program;
 
     fn countdown(n: i32) -> (Program, Trace) {
         let mut asm = Assembler::new();
@@ -793,41 +754,23 @@ mod tests {
         (p, t)
     }
 
-    /// Asserts every chunking of `t` prepares bit-identically to the whole
-    /// trace, and that the region index equals the forward scan.
-    fn assert_chunking_invariant(label: &str, p: &Program, t: &Trace) {
-        let whole = PreparedTrace::with_predictor(p, t, &mut TwoBitCounter::new());
+    /// Asserts that the region index the builder makes while records
+    /// stream past equals a forward scan over the materialised records.
+    fn assert_region_index(label: &str, p: &Program, t: &Trace) {
+        let prepared = PreparedTrace::with_predictor(p, t, &mut TwoBitCounter::new());
         assert_eq!(
-            whole.cd_end,
+            prepared.cd_end,
             crate::reference::cd_region_ends(p, t),
             "{label}: region index differs from the forward scan"
         );
-        for chunk in [1usize, 7, 4093, 1 << 16] {
-            let mut source = TraceChunks::new(t);
-            let streamed =
-                PreparedTrace::from_source(p, &mut source, chunk, &mut TwoBitCounter::new())
-                    .unwrap();
-            assert_eq!(streamed.meta, whole.meta, "{label}: chunk={chunk}");
-            assert_eq!(streamed.cd_end, whole.cd_end, "{label}: chunk={chunk}");
-            assert_eq!(streamed.read_addrs, whole.read_addrs);
-            assert_eq!(streamed.write_addrs, whole.write_addrs);
-            assert_eq!(streamed.class_counts, whole.class_counts);
-            assert_eq!(streamed.mem_words, whole.mem_words);
-            assert_eq!(streamed.num_paths(), whole.num_paths());
-            assert_eq!(streamed.num_branches(), whole.num_branches());
-            assert_eq!(streamed.num_mispredicts(), whole.num_mispredicts());
-            assert_eq!(streamed.output(), whole.output());
-            assert!((streamed.accuracy() - whole.accuracy()).abs() < 1e-15);
-        }
     }
 
-    /// The streaming cornerstone: any chunking of the same record stream
-    /// produces a bit-identical prepared trace, and the region index it
-    /// builds equals a forward scan over the materialised records.
+    /// The region index equals the forward scan on a call loop, a join
+    /// past the cap and a join that never recurs at its own depth.
     #[test]
-    fn from_source_identical_to_with_predictor_at_every_chunk_size() {
+    fn region_index_matches_forward_scan_on_crafted_joins() {
         let (p, t) = call_loop();
-        assert_chunking_invariant("call loop", &p, &t);
+        assert_region_index("call loop", &p, &t);
 
         let (p, t) = distant_join();
         let prepared = PreparedTrace::new(&p, &t);
@@ -843,7 +786,7 @@ mod tests {
             .filter(|(&end, (i, _))| end == *i as u32 + 1 + CD_SCAN_CAP)
             .count();
         assert!(beyond_cap > 0, "a join lies past the cap");
-        assert_chunking_invariant("distant join", &p, &t);
+        assert_region_index("distant join", &p, &t);
 
         let (p, t) = join_only_deeper();
         let prepared = PreparedTrace::new(&p, &t);
@@ -853,7 +796,7 @@ mod tests {
             3 + CD_SCAN_CAP,
             "never found at depth 1"
         );
-        assert_chunking_invariant("join only deeper", &p, &t);
+        assert_region_index("join only deeper", &p, &t);
     }
 
     #[test]
@@ -863,7 +806,7 @@ mod tests {
             for name in registry.names() {
                 let w = registry.build(name, scale).expect("registry workload");
                 let t = w.capture_trace().expect("workload runs");
-                assert_chunking_invariant(&format!("{name} {scale:?}"), &w.program, &t);
+                assert_region_index(&format!("{name} {scale:?}"), &w.program, &t);
             }
         }
         for (k, spec) in ["default", "pred=0.5,depth=3,calls=0.8,jr=0.3,blocks=6"]
@@ -874,20 +817,18 @@ mod tests {
                 let spec = dee_gen::GenSpec::parse(spec).expect("valid spec");
                 let g = dee_gen::generate(&spec, seed).expect("generates");
                 let label = format!("gen grid[{k}] seed {seed}");
-                assert_chunking_invariant(&label, &g.workload.program, &g.trace);
+                assert_region_index(&label, &g.workload.program, &g.trace);
             }
         }
     }
 
     #[test]
-    fn from_source_handles_empty_stream() {
+    fn empty_record_stream_prepares_to_no_paths() {
         let mut asm = Assembler::new();
         asm.halt();
         let p = asm.assemble().unwrap();
         let empty = Trace::from_parts(vec![], vec![]);
-        let mut source = TraceChunks::new(&empty);
-        let prepared =
-            PreparedTrace::from_source(&p, &mut source, 64, &mut TwoBitCounter::new()).unwrap();
+        let prepared = PreparedTrace::new(&p, &empty);
         assert_eq!(prepared.num_paths(), 0);
         assert!(prepared.is_empty());
     }

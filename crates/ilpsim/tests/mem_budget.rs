@@ -1,28 +1,30 @@
-//! Peak-allocation regression guard for the streaming prepare pipeline.
+//! Peak-allocation regression guard for the disk tier's streaming
+//! prepare.
 //!
-//! Run with `cargo test -p dee-ilpsim --features alloc-guard --test
-//! mem_budget`. Compiled out entirely without the feature so the counting
-//! allocator never taxes the normal test suite.
+//! The claim under test: preparing a stored artifact by feeding a
+//! [`StoreReader`] into a [`PreparedTraceBuilder`] record by record — the
+//! path `dee-serve`'s disk tier runs on a `/simulate` disk hit — never
+//! materializes the record vector, so its peak heap growth on each
+//! fig5-small workload stays under a fixed byte budget, while loading the
+//! whole trace ([`Store::load`]) and then calling
+//! [`PreparedTrace::new`] blows through the same budget on the larger
+//! workloads. Both paths must agree on every simulation-visible quantity,
+//! or the budget win is meaningless.
 //!
-//! The claim under test: preparing the fig5-small suite through
-//! [`PreparedTrace::from_source`] over a live [`CaptureChunks`] producer
-//! never materializes the full record vector, so its peak heap growth
-//! stays under a fixed byte budget — while the legacy capture-then-prepare
-//! path (whole [`Trace`] in memory, then [`PreparedTrace::new`]) blows
-//! through the same budget on the larger workloads. Both paths must agree
-//! on every simulation-visible quantity, or the budget win is meaningless.
+//! The counting allocator counts every thread in this test binary, so the
+//! file holds exactly one test: a second test running in parallel would
+//! add its allocations to the measured peaks.
 //!
 //! The library crate forbids `unsafe`; this integration test is its own
 //! crate, and the `GlobalAlloc` wrapper below is the one place in the
 //! workspace allowed to need it.
-#![cfg(feature = "alloc-guard")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dee_ilpsim::{simulate, Model, PreparedTrace, SimConfig};
+use dee_ilpsim::{simulate, Model, PreparedTrace, PreparedTraceBuilder, SimConfig};
 use dee_predict::TwoBitCounter;
-use dee_vm::CaptureChunks;
+use dee_store::{ArtifactKey, Store, StoreReader};
 use dee_workloads::{all_workloads, Scale, Workload};
 
 /// Forwarding allocator that tracks live bytes and the high-water mark.
@@ -90,16 +92,11 @@ fn phase_peak(f: impl FnOnce()) -> usize {
 
 /// Budget the streamed path must stay under and the legacy path must
 /// exceed, as peak heap growth while preparing one fig5-small workload.
-/// Empirically the streamed path peaks around 7.8 MiB (machine memory
-/// image plus columnar output plus one chunk buffer) and the legacy path
-/// around 14.7 MiB (the ~240 K-record eqntott trace vector alone is
-/// ~9.6 MiB before the columns even start), so 10 MiB sits between with
-/// ~25-40% margin each way.
+/// The streamed path holds the columnar output, the program analysis and
+/// one decompressed container chunk; the legacy path also holds the whole
+/// record vector (the ~240 K-record eqntott trace alone is ~9.6 MiB), so
+/// 10 MiB sits well between the two.
 const BUDGET_BYTES: usize = 10 * 1024 * 1024;
-
-/// Chunk size for the streamed path: small enough that the in-flight
-/// buffer is noise next to the columnar output.
-const CHUNK_RECORDS: usize = 4096;
 
 /// Everything `simulate` can observe, for cross-path identity checks.
 fn fingerprint(prepared: &PreparedTrace) -> (usize, u32, u64, u64, Vec<i32>, f64, f64) {
@@ -115,35 +112,52 @@ fn fingerprint(prepared: &PreparedTrace) -> (usize, u32, u64, u64, Vec<i32>, f64
     )
 }
 
-fn prepare_streamed(w: &Workload) -> PreparedTrace {
-    let mut source = CaptureChunks::new(&w.program, &w.initial_memory, w.step_limit)
-        .expect("workload image fits");
+/// The disk tier's `/simulate` hit path: records stream from the
+/// artifact into the builder, then the output, footer and end of file
+/// are verified.
+fn prepare_streamed(w: &Workload, mut reader: StoreReader) -> PreparedTrace {
     let mut predictor = TwoBitCounter::new();
-    PreparedTrace::from_source(&w.program, &mut source, CHUNK_RECORDS, &mut predictor)
-        .expect("in-process capture cannot fault")
-}
-
-fn prepare_legacy(w: &Workload) -> PreparedTrace {
-    let trace = w.capture_trace().expect("workload runs to halt");
-    PreparedTrace::new(&w.program, &trace)
+    let mut builder = PreparedTraceBuilder::new(&w.program, &mut predictor);
+    // The disk tier trusts a header's record count up to 2^20 records.
+    builder.reserve(usize::try_from(reader.record_count()).map_or(1 << 20, |n| n.min(1 << 20)));
+    while let Some(record) = reader.next_record().expect("intact artifact") {
+        builder.push_record(&record);
+    }
+    let output = reader.read_output().expect("intact output");
+    reader.finish().expect("intact footer");
+    builder.finish(output)
 }
 
 #[test]
 fn streamed_prepare_stays_under_budget_while_legacy_exceeds_it() {
     let suite = all_workloads(Scale::Small);
     assert_eq!(suite.len(), 5, "fig5 suite is the paper's five workloads");
+    let dir = std::env::temp_dir().join(format!("dee_mem_budget_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = Store::open(&dir).expect("open scratch store");
 
     let mut streamed_worst = 0usize;
     let mut legacy_worst = 0usize;
     for w in &suite {
+        let key = ArtifactKey::new(&w.name, "small", &w.program.to_listing(), &w.initial_memory);
+        store
+            .put(&key, &w.capture_trace().expect("workload runs to halt"))
+            .expect("publish");
+
         let mut streamed = None;
-        let streamed_peak = phase_peak(|| streamed = Some(prepare_streamed(w)));
+        let streamed_peak = phase_peak(|| {
+            let reader = store.open_reader(&key).expect("opens").expect("published");
+            streamed = Some(prepare_streamed(w, reader));
+        });
         let streamed = streamed.unwrap();
         let streamed_print = fingerprint(&streamed);
         drop(streamed);
 
         let mut legacy = None;
-        let legacy_peak = phase_peak(|| legacy = Some(prepare_legacy(w)));
+        let legacy_peak = phase_peak(|| {
+            let trace = store.load(&key).expect("loads").expect("published");
+            legacy = Some(PreparedTrace::new(&w.program, &trace));
+        });
         let legacy = legacy.unwrap();
         let legacy_print = fingerprint(&legacy);
         drop(legacy);
@@ -161,6 +175,7 @@ fn streamed_prepare_stays_under_budget_while_legacy_exceeds_it() {
         streamed_worst = streamed_worst.max(streamed_peak);
         legacy_worst = legacy_worst.max(legacy_peak);
     }
+    std::fs::remove_dir_all(&dir).ok();
 
     // The regression tripwire: if the legacy path ever fits the budget,
     // the budget is too loose to catch a streamed-path regression back to

@@ -199,7 +199,10 @@ impl BranchPredictor for PapAdaptive {
         let mask = ((1u16 << history_bits) - 1) as u8;
         let pht_len = 1usize << history_bits;
         let used = cur.u32()? as usize;
-        let mut branches: Vec<Option<BranchState>> = Vec::with_capacity(used);
+        // A slot takes at least its presence byte and a pending entry two
+        // bytes, so the bytes left cap each preallocation: a blob cannot
+        // size an allocation past its own length.
+        let mut branches: Vec<Option<BranchState>> = Vec::with_capacity(used.min(cur.remaining()));
         for slot in 0..used {
             match cur.u8()? {
                 0 => branches.push(None),
@@ -214,7 +217,7 @@ impl BranchPredictor for PapAdaptive {
                         return Err(format!("pap: counter state {bad} out of range"));
                     }
                     let pending_len = cur.u32()? as usize;
-                    let mut pending = VecDeque::with_capacity(pending_len);
+                    let mut pending = VecDeque::with_capacity(pending_len.min(cur.remaining() / 2));
                     for _ in 0..pending_len {
                         let idx = cur.u8()?;
                         if idx & !mask != 0 {
@@ -416,5 +419,27 @@ mod tests {
         trailing.push(0);
         assert!(p.load_state(&trailing).is_err(), "trailing bytes");
         assert!(p.load_state(&good).is_ok(), "pristine blob loads");
+    }
+
+    #[test]
+    fn huge_counts_are_refused_before_they_size_an_allocation() {
+        let mut p = PapAdaptive::new();
+        // 9 bytes claiming u32::MAX branch slots.
+        let mut blob = Vec::new();
+        crate::wire::put_u32(&mut blob, 2);
+        blob.push(0);
+        crate::wire::put_u32(&mut blob, u32::MAX);
+        assert_eq!(blob.len(), 9);
+        assert!(p.load_state(&blob).is_err(), "used = u32::MAX");
+        // One present slot claiming u32::MAX pending predictions.
+        let mut blob = Vec::new();
+        crate::wire::put_u32(&mut blob, 2);
+        blob.push(1);
+        crate::wire::put_u32(&mut blob, 1);
+        blob.extend_from_slice(&[1, 0, 0, 2, 2, 2, 2]);
+        crate::wire::put_u32(&mut blob, u32::MAX);
+        assert!(p.load_state(&blob).is_err(), "pending_len = u32::MAX");
+        // Neither half-loaded the predictor.
+        assert_eq!(p.save_state(), PapAdaptive::new().save_state());
     }
 }

@@ -57,6 +57,12 @@ impl<'a> Cursor<'a> {
         Ok(run)
     }
 
+    /// Bytes not yet read: the bound for any count read from the blob
+    /// before it sizes an allocation.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     /// Fails unless every byte has been consumed.
     pub fn finish(self) -> Result<(), String> {
         if self.pos == self.bytes.len() {

@@ -10,6 +10,8 @@
 //! byte-compare server responses against locally computed payloads built
 //! with the same functions.
 
+use std::convert::Infallible;
+use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,13 +22,10 @@ use dee_ilpsim::{
 };
 use dee_isa::parse::parse_program;
 use dee_levo::{Levo, LevoConfig, LevoReport, PredictorKind};
-use dee_predict::{AlwaysTaken, BranchPredictor, Gshare, PapAdaptive, TwoBitCounter};
+use dee_predict::BranchPredictor;
 use dee_snap::Snapshot;
-use dee_store::{ArtifactKey, Store};
-use dee_vm::{
-    trace_program_with, Engine, Machine, Trace, TraceChunkSource, TraceChunks, TraceRecord,
-    DEFAULT_CHUNK_RECORDS,
-};
+use dee_store::{ArtifactKey, Store, StoreReader};
+use dee_vm::{trace_program_with, Engine, Machine, Trace, TraceRecord};
 use dee_workloads::{Scale, Workload};
 
 use crate::cache::{fnv1a, fnv1a_words, CacheKey, PreparedCache, PreparedEntry};
@@ -134,13 +133,7 @@ fn parse_et(body: &Json) -> Result<u32, ApiError> {
 }
 
 fn scale_by_name(name: &str) -> Result<Scale, ApiError> {
-    match name {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "medium" => Ok(Scale::Medium),
-        "large" => Ok(Scale::Large),
-        other => Err(ApiError::bad_request(format!("unknown scale `{other}`"))),
-    }
+    Scale::from_name(name).ok_or_else(|| ApiError::bad_request(format!("unknown scale `{name}`")))
 }
 
 fn workload_by_name(name: &str, scale: Scale) -> Result<Workload, ApiError> {
@@ -149,23 +142,18 @@ fn workload_by_name(name: &str, scale: Scale) -> Result<Workload, ApiError> {
         .ok_or_else(|| ApiError::bad_request(format!("unknown workload `{name}`")))
 }
 
-fn model_by_name(name: &str) -> Option<Model> {
-    Model::all_constrained()
-        .into_iter()
-        .chain([Model::Oracle])
-        .find(|m| m.name().eq_ignore_ascii_case(name))
-}
-
+/// A fresh predictor for a request's `"predictor"` name, from the one
+/// roster snapshots are cut with ([`dee_snap::PREDICTORS`]).
 fn predictor_by_name(name: &str) -> Result<Box<dyn BranchPredictor>, ApiError> {
-    match name {
-        "twobit" => Ok(Box::new(TwoBitCounter::new())),
-        "gshare" => Ok(Box::new(Gshare::new(12, 8))),
-        "pap" => Ok(Box::new(PapAdaptive::new())),
-        "taken" => Ok(Box::new(AlwaysTaken::new())),
-        other => Err(ApiError::bad_request(format!(
-            "unknown predictor `{other}` (expected twobit|gshare|pap|taken)"
-        ))),
+    let roster = dee_snap::PREDICTORS;
+    if let Some((_, new)) = roster.iter().find(|(known, _)| *known == name) {
+        return Ok(new());
     }
+    let known: Vec<&str> = roster.iter().map(|(known, _)| *known).collect();
+    Err(ApiError::bad_request(format!(
+        "unknown predictor `{name}` (expected {})",
+        known.join("|")
+    )))
 }
 
 /// The program + input-memory source of a simulate/levo request.
@@ -278,102 +266,123 @@ fn artifact_key(source: &Source) -> ArtifactKey {
     )
 }
 
-/// Captures the raw trace on the VM. The miss path runs the pre-decoded
-/// engine; a tripped [`FaultSite::DecodeCompile`] degrades the capture to
-/// the reference interpreter. Both engines produce byte-identical traces,
-/// so only the `dee_faults_injected_total{site="decode_compile"}` counter
-/// reveals the degradation.
-fn capture_trace(source: &Source, faults: &FaultPlan) -> Result<Trace, String> {
+/// Largest record count a stored artifact's header may pre-size the
+/// prepared columns for; a hostile header can claim anything, and the
+/// columns grow fine without it.
+const STORED_RESERVE_CAP: usize = 1 << 20;
+
+/// The disk tier's read side, shared by `/simulate` and
+/// `/simulate_range`. Unless [`FaultSite::StoreRead`] trips, opens `key`'s
+/// artifact and hands the reader to `read`. Counts a disk hit, with its
+/// replay time, when `read` succeeds, and a miss otherwise. A body `read`
+/// rejects — corruption [`Store::open_reader`]'s header check cannot see
+/// — is quarantined; an absent artifact or a corrupt header (which
+/// `open_reader` already quarantined) is a plain miss. `None` sends the
+/// caller to [`capture_trace`].
+fn read_stored<T>(
+    store: &Store,
+    key: &ArtifactKey,
+    faults: &FaultPlan,
+    read: impl FnOnce(&mut StoreReader) -> io::Result<T>,
+) -> Option<T> {
+    let stats = store.stats();
+    if faults.trip(FaultSite::StoreRead).is_none() {
+        let replay_start = Instant::now();
+        if let Ok(Some(mut reader)) = store.open_reader(key) {
+            match read(&mut reader) {
+                Ok(value) => {
+                    stats.disk_hits.fetch_add(1, Ordering::Relaxed);
+                    stats
+                        .replay_nanos
+                        .fetch_add(replay_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    return Some(value);
+                }
+                Err(_) => {
+                    store.quarantine_key(key);
+                }
+            }
+        }
+    }
+    stats.misses.fetch_add(1, Ordering::Relaxed);
+    None
+}
+
+/// Captures the raw trace on the VM, and is the disk tier's write side.
+/// The capture runs the pre-decoded engine; a tripped
+/// [`FaultSite::DecodeCompile`] degrades it to the reference interpreter.
+/// Both engines produce byte-identical traces, so only the
+/// `dee_faults_injected_total{site="decode_compile"}` counter reveals the
+/// degradation. With a store, the capture is timed into
+/// `dee_store_trace_nanos_total` and the trace published under `key`
+/// best-effort: a tripped [`FaultSite::StoreWrite`] or a failed put only
+/// counts a write error.
+fn capture_trace(
+    source: &Source,
+    faults: &FaultPlan,
+    tier: Option<(&Store, &ArtifactKey)>,
+) -> Result<Trace, String> {
     let engine = if faults.trip(FaultSite::DecodeCompile).is_some() {
         Engine::Interp
     } else {
         Engine::Decoded
     };
-    trace_program_with(engine, &source.program, &source.memory, STEP_LIMIT)
-        .map_err(|e| format!("trace: {e}"))
+    let capture_start = Instant::now();
+    let trace = trace_program_with(engine, &source.program, &source.memory, STEP_LIMIT)
+        .map_err(|e| format!("trace: {e}"))?;
+    if let Some((store, key)) = tier {
+        let stats = store.stats();
+        stats
+            .trace_nanos
+            .fetch_add(capture_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if faults.trip(FaultSite::StoreWrite).is_some() || store.put(key, &trace).is_err() {
+            stats.write_errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    Ok(trace)
 }
 
 /// Prepares the trace for a prepared-cache miss, consulting the disk
 /// tier first when a store is configured.
 ///
-/// With an intact artifact on disk, the raw records *stream* from the
-/// container through the chunk pipeline ([`PreparedTrace::from_source`])
-/// in [`DEFAULT_CHUNK_RECORDS`]-sized batches — the full `Trace` is
-/// never materialized, which bounds the miss path's peak memory by the
-/// chunk size instead of the trace length. Store faults degrade rather
-/// than fail: a tripped read skips the disk tier (the trace is re-run
-/// on the VM), a tripped write skips the best-effort publish, and
-/// mid-stream body corruption — which [`Store::open_reader`]'s
-/// header check cannot see — quarantines the artifact and degrades to
-/// a from-scratch capture. Either way the caller gets a correct
-/// prepared trace — only the `dee_store_*` counters reveal what
-/// happened.
+/// With an intact artifact on disk, the raw records stream from the
+/// container into the builder one at a time — the full `Trace` is never
+/// materialized — and the output stream, footer and end of file are read
+/// after them, so a disk hit verifies the whole artifact. Store faults
+/// degrade rather than fail (see [`read_stored`] and [`capture_trace`]):
+/// the caller always gets a correct prepared trace, and only the
+/// `dee_store_*` counters reveal what happened.
 fn prepare_streamed(
     source: &Source,
     predictor_name: &str,
     faults: &FaultPlan,
     store: Option<&Store>,
 ) -> Result<PreparedTrace, String> {
-    let mut predictor = predictor_by_name(predictor_name).map_err(|e| e.message)?;
-    let Some(store) = store else {
-        let trace = capture_trace(source, faults)?;
-        return Ok(PreparedTrace::with_predictor(
-            &source.program,
-            &trace,
-            predictor.as_mut(),
-        ));
-    };
-    let key = artifact_key(source);
-    let stats = store.stats();
-    if faults.trip(FaultSite::StoreRead).is_none() {
-        let replay_start = Instant::now();
-        match store.open_reader(&key) {
-            Ok(Some(mut reader)) => {
-                match PreparedTrace::from_source(
-                    &source.program,
-                    &mut reader,
-                    DEFAULT_CHUNK_RECORDS,
-                    predictor.as_mut(),
-                ) {
-                    Ok(prepared) => {
-                        stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        stats
-                            .replay_nanos
-                            .fetch_add(replay_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        return Ok(prepared);
-                    }
-                    Err(_) => {
-                        // The header verified but the body did not:
-                        // quarantine here (open_reader cannot), then
-                        // re-trace. The predictor consumed part of the
-                        // corrupt stream, so start a fresh one.
-                        store.quarantine_key(&key);
-                        stats.misses.fetch_add(1, Ordering::Relaxed);
-                        predictor = predictor_by_name(predictor_name).map_err(|e| e.message)?;
-                    }
-                }
+    let new_predictor = || predictor_by_name(predictor_name).map_err(|e| e.message);
+    let key = store.map(|_| artifact_key(source));
+    let tier = store.zip(key.as_ref());
+    if let Some((store, key)) = tier {
+        let mut predictor = new_predictor()?;
+        let stored = read_stored(store, key, faults, |reader| {
+            let mut builder = PreparedTraceBuilder::new(&source.program, predictor.as_mut());
+            let declared = usize::try_from(reader.record_count()).unwrap_or(usize::MAX);
+            builder.reserve(declared.min(STORED_RESERVE_CAP));
+            while let Some(record) = reader.next_record()? {
+                builder.push_record(&record);
             }
-            // Absent, or the header itself was corrupt (open_reader
-            // already quarantined): both degrade to re-tracing.
-            Ok(None) | Err(_) => {
-                stats.misses.fetch_add(1, Ordering::Relaxed);
-            }
+            let output = reader.read_output()?;
+            reader.finish()?;
+            Ok(builder.finish(output))
+        });
+        if let Some(prepared) = stored {
+            return Ok(prepared);
         }
-    } else {
-        stats.misses.fetch_add(1, Ordering::Relaxed);
     }
-    let trace_start = Instant::now();
-    let trace = capture_trace(source, faults)?;
-    stats
-        .trace_nanos
-        .fetch_add(trace_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    if faults.trip(FaultSite::StoreWrite).is_some() || store.put(&key, &trace).is_err() {
-        stats.write_errors.fetch_add(1, Ordering::Relaxed);
-    }
+    let trace = capture_trace(source, faults, tier)?;
+    // A fresh predictor: a rejected artifact may have fed the first one.
     Ok(PreparedTrace::with_predictor(
         &source.program,
         &trace,
-        predictor.as_mut(),
+        new_predictor()?.as_mut(),
     ))
 }
 
@@ -469,11 +478,8 @@ pub fn handle_simulate(
     let (entry, hit, label) = prepared_for(cache, body, faults, store)?;
     let et = parse_et(body)?;
     let models: Vec<Model> = match str_field(body, "model") {
-        None | Some("all") => Model::all_constrained()
-            .into_iter()
-            .chain([Model::Oracle])
-            .collect(),
-        Some(name) => vec![model_by_name(name)
+        None | Some("all") => Model::all().to_vec(),
+        Some(name) => vec![Model::from_name(name)
             .ok_or_else(|| ApiError::bad_request(format!("unknown model `{name}`")))?],
     };
     if et == 0 && models.iter().any(|m| *m != Model::Oracle) {
@@ -578,15 +584,12 @@ pub fn parse_batch(body: &Json) -> Result<Vec<BatchCell>, ApiError> {
     let scale_name = str_field(body, "scale").unwrap_or("tiny").to_string();
     scale_by_name(&scale_name)?;
     let models: Vec<Model> = match body.get("models") {
-        None => Model::all_constrained()
-            .into_iter()
-            .chain([Model::Oracle])
-            .collect(),
+        None => Model::all().to_vec(),
         Some(Json::Arr(items)) if !items.is_empty() => items
             .iter()
             .map(|v| {
                 v.as_str()
-                    .and_then(model_by_name)
+                    .and_then(Model::from_name)
                     .ok_or_else(|| ApiError::bad_request(format!("unknown model in `models`: {v}")))
             })
             .collect::<Result<_, _>>()?,
@@ -888,8 +891,8 @@ pub fn handle_levo(body: &Json, deadline: Instant, faults: &FaultPlan) -> Result
     Ok(json)
 }
 
-/// Streams records through the chunk pipeline, building a prepared
-/// trace over `[start, end)` only.
+/// Builds a prepared trace over records `[start, end)` in one pass over
+/// `records`.
 ///
 /// Records `[0, skip)` are discarded unseen — a restored snapshot
 /// already accounts for them (its predictor blobs carry exactly that
@@ -897,61 +900,35 @@ pub fn handle_levo(body: &Json, deadline: Instant, faults: &FaultPlan) -> Result
 /// predictor without entering the build, warming it to the range
 /// start with the exact `predict` + `resolve` sequence
 /// [`PreparedTraceBuilder::push_record`] would have issued. Records
-/// from `start` up to `end` (or trace end) are packed. Chunk pulls are
-/// capped at each phase boundary, so a chunk never straddles phases.
+/// from `start` up to `end` (or trace end) are packed; nothing past
+/// `end` is read.
 ///
 /// Returns the prepared subtrace, the number of records packed, and
-/// the nanoseconds spent replaying ahead of `start`.
-fn prepare_range(
+/// the nanoseconds spent warming the predictor ahead of `start`.
+fn prepare_range<E>(
     program: &dee_isa::Program,
-    records: &mut dyn TraceChunkSource,
+    mut records: impl Iterator<Item = Result<TraceRecord, E>>,
     skip: u64,
     start: u64,
     end: Option<u64>,
     predictor: &mut dyn BranchPredictor,
-) -> Result<(PreparedTrace, u64, u64), String> {
-    let chunk = DEFAULT_CHUNK_RECORDS;
-    let mut buf: Vec<TraceRecord> = Vec::new();
-    let mut index = 0u64;
-    while index < skip {
-        buf.clear();
-        let want = chunk.min(usize::try_from(skip - index).unwrap_or(chunk));
-        let n = records.next_chunk(&mut buf, want)?;
-        if n == 0 {
-            break;
-        }
-        index += n as u64;
+) -> Result<(PreparedTrace, u64, u64), E> {
+    let count = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+    for record in records.by_ref().take(count(skip)) {
+        record?;
     }
     let warm_start = Instant::now();
-    while index < start {
-        buf.clear();
-        let want = chunk.min(usize::try_from(start - index).unwrap_or(chunk));
-        let n = records.next_chunk(&mut buf, want)?;
-        if n == 0 {
-            break;
+    for record in records.by_ref().take(count(start.saturating_sub(skip))) {
+        let record = record?;
+        if let Some(outcome) = record.branch {
+            let _ = predictor.predict(record.pc);
+            predictor.resolve(record.pc, outcome.taken);
         }
-        for record in &buf {
-            if let Some(outcome) = record.branch {
-                let _ = predictor.predict(record.pc);
-                predictor.resolve(record.pc, outcome.taken);
-            }
-        }
-        index += n as u64;
     }
     let warm_nanos = warm_start.elapsed().as_nanos() as u64;
     let mut builder = PreparedTraceBuilder::new(program, predictor);
-    while end.is_none_or(|e| index < e) {
-        buf.clear();
-        let want = match end {
-            Some(e) => chunk.min(usize::try_from(e - index).unwrap_or(chunk)),
-            None => chunk,
-        };
-        let n = records.next_chunk(&mut buf, want)?;
-        if n == 0 {
-            break;
-        }
-        builder.push_chunk(&buf);
-        index += n as u64;
+    for record in records.take(end.map_or(usize::MAX, |e| count(e - start))) {
+        builder.push_record(&record?);
     }
     let taken = builder.pushed() as u64;
     // The sub-trace's output stream is not meaningful (output is a
@@ -1001,11 +978,8 @@ pub fn handle_simulate_range(
     predictor_by_name(predictor_name)?;
     let et = parse_et(body)?;
     let models: Vec<Model> = match str_field(body, "model") {
-        None | Some("all") => Model::all_constrained()
-            .into_iter()
-            .chain([Model::Oracle])
-            .collect(),
-        Some(name) => vec![model_by_name(name)
+        None | Some("all") => Model::all().to_vec(),
+        Some(name) => vec![Model::from_name(name)
             .ok_or_else(|| ApiError::bad_request(format!("unknown model `{name}`")))?],
     };
     if et == 0 && models.iter().any(|m| *m != Model::Oracle) {
@@ -1066,73 +1040,48 @@ pub fn handle_simulate_range(
         }
     });
     let skip = snap.as_ref().map_or(0, |s| s.record_index);
-    let make_predictor = || -> Result<Box<dyn BranchPredictor>, String> {
-        let mut p = predictor_by_name(predictor_name).map_err(|e| e.message)?;
+    let make_predictor = || -> Result<Box<dyn BranchPredictor>, ApiError> {
+        let mut p = predictor_by_name(predictor_name).map_err(|e| ApiError::internal(e.message))?;
         if let Some(s) = &snap {
-            p.load_state(s.predictor_state(p.name()).unwrap_or(&[]))?;
+            p.load_state(s.predictor_state(p.name()).unwrap_or(&[]))
+                .map_err(ApiError::internal)?;
         }
         Ok(p)
     };
 
     // The record stream: replayed from the disk artifact when intact,
     // captured on the VM otherwise (and best-effort published so the
-    // next range request can stream it). Mirrors `prepare_streamed`'s
-    // degradation ladder, including quarantine on body corruption.
-    let mut built: Option<(PreparedTrace, u64, u64)> = None;
-    if let Some(store) = store {
-        let stats = store.stats();
-        if faults.trip(FaultSite::StoreRead).is_none() {
-            let replay_start = Instant::now();
-            if let Ok(Some(mut reader)) = store.open_reader(&key) {
-                let mut predictor = make_predictor().map_err(ApiError::internal)?;
-                match prepare_range(
-                    &source.program,
-                    &mut reader,
-                    skip,
-                    start,
-                    end,
-                    predictor.as_mut(),
-                ) {
-                    Ok(done) => {
-                        stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        stats
-                            .replay_nanos
-                            .fetch_add(replay_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        built = Some(done);
-                    }
-                    Err(_) => {
-                        store.quarantine_key(&key);
-                        stats.misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            } else {
-                stats.misses.fetch_add(1, Ordering::Relaxed);
-            }
-        } else {
-            stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    let (prepared, taken, warm_nanos) = match built {
-        Some(done) => done,
-        None => {
-            let trace = capture_trace(&source, faults).map_err(ApiError::internal)?;
-            if let Some(store) = store {
-                if faults.trip(FaultSite::StoreWrite).is_some() || store.put(&key, &trace).is_err()
-                {
-                    store.stats().write_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let mut predictor = make_predictor().map_err(ApiError::internal)?;
-            let mut chunks = TraceChunks::new(&trace);
+    // next range request can stream it).
+    let tier = store.map(|store| (store, &key));
+    let mut built = None;
+    if let Some((store, key)) = tier {
+        let mut predictor = make_predictor()?;
+        built = read_stored(store, key, faults, |reader| {
+            let records = std::iter::from_fn(|| reader.next_record().transpose());
             prepare_range(
                 &source.program,
-                &mut chunks,
+                records,
                 skip,
                 start,
                 end,
                 predictor.as_mut(),
             )
-            .map_err(ApiError::internal)?
+        });
+    }
+    let (prepared, taken, warm_nanos) = match built {
+        Some(done) => done,
+        None => {
+            let trace = capture_trace(&source, faults, tier).map_err(ApiError::internal)?;
+            let records = trace.records().iter().map(|&r| Ok::<_, Infallible>(r));
+            let Ok(done) = prepare_range(
+                &source.program,
+                records,
+                skip,
+                start,
+                end,
+                make_predictor()?.as_mut(),
+            );
+            done
         }
     };
     metrics
@@ -1419,7 +1368,7 @@ mod tests {
             (r#"{"workload":"xlisp","model":"warp"}"#, "unknown model"),
             (
                 r#"{"workload":"xlisp","predictor":"psychic"}"#,
-                "unknown predictor",
+                "unknown predictor `psychic` (expected twobit|gshare|pap|taken)",
             ),
             (r#"{"workload":"xlisp","memory":[1]}"#, "only applies"),
             (r#"{"workload":"xlisp","program":"halt\n"}"#, "not both"),
@@ -1881,12 +1830,7 @@ mod tests {
     fn snapshot_bytes_at(source: &Source, k: u64) -> Vec<u8> {
         let mut machine = Machine::new();
         machine.try_load_memory(&source.memory).unwrap();
-        let mut predictors: Vec<Box<dyn BranchPredictor>> = vec![
-            Box::new(TwoBitCounter::new()),
-            Box::new(Gshare::new(12, 8)),
-            Box::new(PapAdaptive::new()),
-            Box::new(AlwaysTaken::new()),
-        ];
+        let mut predictors = dee_snap::standard_predictors();
         for _ in 0..k {
             let (_, record) = machine.step(&source.program).unwrap();
             if let Some(outcome) = record.branch {

@@ -53,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use dee_predict::{AlwaysTaken, BranchPredictor, Gshare, PapAdaptive, TwoBitCounter};
 use dee_store::{
     checksum64, compress, decompress, verify_snapshot_bytes, ArtifactKey, Store, SNAPSHOT_EXT,
     SNAPSHOT_MAGIC,
@@ -162,20 +163,28 @@ pub fn nearest_snapshot(store: &Store, key: &ArtifactKey, at: u64) -> Option<(u6
     None
 }
 
-/// The standard snapshot predictor roster: one instance of each request
-/// predictor the serve tier resolves names to (`twobit`, `gshare`, `pap`,
-/// `taken`), with the serve tier's exact geometries. A snapshot cut with
-/// this roster carries a warm-start blob for every predictor a
-/// `/simulate_range` request can name; a geometry mismatch here would
-/// make the blobs unrestorable there.
+/// A constructor in the [`PREDICTORS`] roster.
+pub type NewPredictor = fn() -> Box<dyn BranchPredictor>;
+
+/// The request predictor roster: each name a `/simulate`,
+/// `/simulate_range` or `/batch` request may give as `"predictor"`, with
+/// the constructor the serve tier builds it with. Snapshots are cut with
+/// the same constructors ([`standard_predictors`]), so every blob a
+/// snapshot carries restores into the predictor a request names; a
+/// geometry that differed between the two would turn each warm start
+/// into a from-zero replay.
+pub const PREDICTORS: [(&str, NewPredictor); 4] = [
+    ("twobit", || Box::new(TwoBitCounter::new())),
+    ("gshare", || Box::new(Gshare::new(12, 8))),
+    ("pap", || Box::new(PapAdaptive::new())),
+    ("taken", || Box::new(AlwaysTaken::new())),
+];
+
+/// The standard snapshot predictor roster: one fresh instance of each
+/// [`PREDICTORS`] entry, in table order.
 #[must_use]
-pub fn standard_predictors() -> Vec<Box<dyn dee_predict::BranchPredictor>> {
-    vec![
-        Box::new(dee_predict::TwoBitCounter::new()),
-        Box::new(dee_predict::Gshare::new(12, 8)),
-        Box::new(dee_predict::PapAdaptive::new()),
-        Box::new(dee_predict::AlwaysTaken::new()),
-    ]
+pub fn standard_predictors() -> Vec<Box<dyn BranchPredictor>> {
+    PREDICTORS.iter().map(|(_, new)| new()).collect()
 }
 
 /// Steps a fresh machine through `program`, cutting a snapshot every
@@ -549,7 +558,6 @@ impl Snapshot {
 mod tests {
     use super::*;
     use dee_isa::{Assembler, Reg};
-    use dee_predict::{BranchPredictor, Gshare, PapAdaptive, TwoBitCounter};
     use dee_vm::Machine;
     use std::path::PathBuf;
 

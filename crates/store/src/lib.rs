@@ -16,12 +16,14 @@
 //!   (write-to-temp + rename) and read fail-closed: corruption is
 //!   quarantined with a typed error, never a panic, and
 //!   [`Store::get_or_record`] transparently falls back to re-tracing;
-//! * [`StoreReader`] — streams `TraceRecord`s chunk-by-chunk, so replay
-//!   runs in constant memory regardless of trace length.
+//! * [`StoreReader`] — yields one `TraceRecord` at a time
+//!   ([`StoreReader::next_record`]), so replay runs in constant memory
+//!   regardless of trace length; `dee-serve`'s disk tier feeds it straight
+//!   into trace preparation.
 //!
 //! The invariant threaded through everything: **replay is byte-identical
-//! to re-tracing**. Consumers (the bench sweeps, `dee-serve`'s disk
-//! cache tier, the `dee trace` CLI) verify replayed output against the
+//! to re-tracing**. Consumers (`Suite::from_workloads` in dee-bench,
+//! `dee-serve`'s disk cache tier, the `dee trace` CLI) verify replayed output against the
 //! workload reference and quarantine on any disagreement, so a store can
 //! speed experiments up but can never silently change a result.
 //!

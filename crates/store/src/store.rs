@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use dee_vm::{Trace, TraceChunkSource, TraceReader, TraceRecord, TRACE_FORMAT_VERSION};
+use dee_vm::{Trace, TraceReader, TraceRecord, TRACE_FORMAT_VERSION};
 
 use crate::checksum::checksum64;
 use crate::container::{read_info, ContainerInfo, ContainerReader, ContainerWriter};
@@ -229,7 +229,8 @@ pub struct StoreStats {
     pub bytes_written: AtomicU64,
     /// Nanoseconds spent replaying artifacts from disk.
     pub replay_nanos: AtomicU64,
-    /// Nanoseconds spent re-tracing on the VM (inside `get_or_record`).
+    /// Nanoseconds spent re-tracing on the VM (inside `get_or_record`,
+    /// and in `dee-serve`'s disk tier on a store miss).
     pub trace_nanos: AtomicU64,
 }
 
@@ -682,9 +683,12 @@ impl Store {
     }
 }
 
-/// Streams `TraceRecord`s out of a published artifact chunk-by-chunk: at
-/// no point is more than one decompressed chunk plus one record resident,
-/// so a 100 M-instruction trace replays in constant memory.
+/// Streams `TraceRecord`s out of a published artifact one at a time: at
+/// no point is more than one decompressed container chunk plus one record
+/// resident, so a 100 M-instruction trace replays in constant memory.
+/// Draining [`next_record`](Self::next_record), then
+/// [`read_output`](Self::read_output) and [`finish`](Self::finish),
+/// verifies the whole file.
 pub struct StoreReader {
     inner: TraceReader<ContainerReader<BufReader<File>>>,
 }
@@ -774,37 +778,6 @@ impl StoreReader {
         // Safe split: TraceReader exposes its transport for framing
         // checks once the logical stream is consumed.
         self.inner.transport_mut()
-    }
-}
-
-/// Streaming replay: a [`StoreReader`] is a chunk source, so a published
-/// artifact flows straight into the incremental prepare pipeline without
-/// materializing the record vector. `take_output` also verifies the
-/// container footer and EOF, so a fully drained source constitutes a
-/// full-file verification.
-impl TraceChunkSource for StoreReader {
-    fn next_chunk(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> Result<usize, String> {
-        let mut appended = 0usize;
-        while appended < max {
-            match self.next_record().map_err(|e| e.to_string())? {
-                Some(record) => {
-                    buf.push(record);
-                    appended += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(appended)
-    }
-
-    fn take_output(&mut self) -> Result<Vec<i32>, String> {
-        let output = self.read_output().map_err(|e| e.to_string())?;
-        self.finish().map_err(|e| e.to_string())?;
-        Ok(output)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.record_count())
     }
 }
 

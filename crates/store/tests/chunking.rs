@@ -1,19 +1,22 @@
-//! Chunk-boundary fuzz for the streaming replay path.
+//! Frame-alignment fuzz for the streaming replay path.
 //!
-//! `StoreReader` implements `TraceChunkSource`, and the streaming
-//! prepare pipeline's byte-identical guarantee rests on chunked
-//! iteration yielding *exactly* the record stream of a whole-trace
-//! read — regardless of how records land on `DEESTOR1` chunk frames or
-//! how large the pull batches are. This test sweeps seeded random trace
-//! lengths against pathological pull sizes (1, a prime, the default) so
-//! every alignment of a final partial chunk gets exercised, plus the
-//! degenerate empty trace.
+//! `dee-serve`'s disk tier drains a `StoreReader` record by record
+//! ([`StoreReader::next_record`], then `read_output` and `finish`) straight
+//! into trace preparation, so its byte-identical guarantee rests on that
+//! drain yielding *exactly* the record stream of a whole-trace read,
+//! wherever records and the output stream land on `DEESTOR1` chunk
+//! frames. This test publishes seeded random trace lengths (the last
+//! reaches past the first 256 KiB frame) plus the degenerate empty trace,
+//! and checks that a drained reader verifies the footer.
+//!
+//! [`StoreReader::next_record`]: dee_store::StoreReader::next_record
 
+use std::io;
 use std::path::PathBuf;
 
 use dee_isa::{Assembler, Reg};
-use dee_store::{ArtifactKey, Store};
-use dee_vm::{Trace, TraceChunkSource, TraceRecord};
+use dee_store::{ArtifactKey, Store, StoreReader};
+use dee_vm::{Trace, TraceRecord};
 
 fn scratch_store(tag: &str) -> (Store, PathBuf) {
     let dir = std::env::temp_dir().join(format!("dee_store_chunk_{}_{tag}", std::process::id()));
@@ -36,7 +39,7 @@ impl Rng {
 }
 
 /// A loop whose trace length scales with `n`, with a store/load pair so
-/// records carry memory traffic across chunk boundaries too.
+/// records carry memory traffic across frame boundaries too.
 fn looped_trace(n: i32) -> (Trace, ArtifactKey) {
     let mut asm = Assembler::new();
     let r1 = Reg::new(1);
@@ -55,77 +58,67 @@ fn looped_trace(n: i32) -> (Trace, ArtifactKey) {
     (trace, key)
 }
 
-fn drain(source: &mut dyn TraceChunkSource, max: usize) -> (Vec<TraceRecord>, Vec<i32>) {
-    let mut all = Vec::new();
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        let n = source.next_chunk(&mut buf, max).expect("chunk reads");
-        assert!(n <= max, "overfilled chunk: {n} > {max}");
-        assert_eq!(n, buf.len(), "appended count must match buffer");
-        if n == 0 {
-            break;
-        }
-        all.extend_from_slice(&buf);
+/// Drains `reader` the way the disk tier does: every record, then the
+/// output stream, then the footer and end-of-file check.
+fn drain(reader: &mut StoreReader) -> io::Result<(Vec<TraceRecord>, Vec<i32>)> {
+    let mut records = Vec::new();
+    while let Some(record) = reader.next_record()? {
+        records.push(record);
     }
-    let output = source.take_output().expect("output after exhaustion");
-    (all, output)
+    let output = reader.read_output()?;
+    reader.finish()?;
+    Ok((records, output))
+}
+
+fn open(store: &Store, key: &ArtifactKey) -> StoreReader {
+    store
+        .open_reader(key)
+        .expect("open reader")
+        .expect("published")
 }
 
 #[test]
-fn chunked_replay_is_byte_identical_at_every_pull_size() {
+fn replay_is_byte_identical_at_every_frame_alignment() {
     let (store, dir) = scratch_store("fuzz");
     let mut rng = Rng(0xdee5_eed5);
-    // Seeded lengths, biased to land near pull-size multiples so final
-    // partial chunks of size 0, 1, and max-1 all occur across the sweep.
+    // Seeded lengths put the last record and the output stream at varied
+    // offsets within a frame; 4093 trips (16 375 records, 327 500 bytes)
+    // cross the first 256 KiB frame boundary.
     let mut lengths: Vec<i32> = (0..6).map(|_| 1 + (rng.next() % 2_500) as i32).collect();
-    lengths.push(4093); // one loop body per pull at the prime size
+    lengths.push(4093);
     for n in lengths {
         let (trace, key) = looped_trace(n);
         store.put(&key, &trace).expect("publish");
-        for max in [1usize, 4093, dee_vm::DEFAULT_CHUNK_RECORDS] {
-            let mut reader = store
-                .open_reader(&key)
-                .expect("open reader")
-                .expect("published");
-            assert_eq!(reader.len_hint(), Some(trace.len() as u64));
-            let (records, output) = drain(&mut reader, max);
-            assert_eq!(
-                records.as_slice(),
-                trace.records(),
-                "n={n} max={max}: records drifted"
-            );
-            assert_eq!(
-                output.as_slice(),
-                trace.output(),
-                "n={n} max={max}: output drifted"
-            );
-        }
+        let mut reader = open(&store, &key);
+        assert_eq!(reader.record_count(), trace.len() as u64);
+        let (records, output) = drain(&mut reader).expect("drains");
+        assert_eq!(
+            records.as_slice(),
+            trace.records(),
+            "n={n}: records drifted"
+        );
+        assert_eq!(output.as_slice(), trace.output(), "n={n}: output drifted");
     }
     std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
-fn empty_trace_chunks_cleanly() {
+fn empty_trace_replays_cleanly() {
     let (store, dir) = scratch_store("empty");
     let trace = Trace::from_parts(vec![], vec![7, 8]);
     let key = ArtifactKey::new("chunkfuzz", "empty", "listing", &[]);
     store.put(&key, &trace).expect("publish empty trace");
-    let mut reader = store
-        .open_reader(&key)
-        .expect("open reader")
-        .expect("published");
-    assert_eq!(reader.len_hint(), Some(0));
-    let mut buf = Vec::new();
-    assert_eq!(reader.next_chunk(&mut buf, 16).expect("chunk"), 0);
-    assert!(buf.is_empty());
-    assert_eq!(reader.take_output().expect("output"), vec![7, 8]);
+    let mut reader = open(&store, &key);
+    assert_eq!(reader.record_count(), 0);
+    let (records, output) = drain(&mut reader).expect("drains");
+    assert!(records.is_empty());
+    assert_eq!(output, vec![7, 8]);
     std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
-fn take_output_verifies_the_footer() {
-    // A drained source's take_output includes the footer/EOF check, so
+fn finish_verifies_the_footer() {
+    // A drained reader's `finish` includes the footer/EOF check, so
     // trailing garbage after the output stream is a replay error, not a
     // silent pass.
     let (store, dir) = scratch_store("footer");
@@ -134,19 +127,7 @@ fn take_output_verifies_the_footer() {
     let mut bytes = std::fs::read(&path).expect("read");
     bytes.extend_from_slice(b"JUNKJUNK");
     std::fs::write(&path, &bytes).expect("rewrite");
-    let mut reader = store
-        .open_reader(&key)
-        .expect("open reader")
-        .expect("published");
-    let mut buf = Vec::new();
-    let result = loop {
-        buf.clear();
-        match reader.next_chunk(&mut buf, 64) {
-            Ok(0) => break reader.take_output(),
-            Ok(_) => {}
-            Err(e) => break Err(e),
-        }
-    };
-    assert!(result.is_err(), "trailing bytes must fail the stream");
+    let err = drain(&mut open(&store, &key)).expect_err("trailing bytes must fail the stream");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     std::fs::remove_dir_all(dir).ok();
 }

@@ -41,13 +41,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chunk;
 mod decoded;
 mod machine;
 mod serialize;
 mod trace;
 
-pub use chunk::{CaptureChunks, TraceChunkSource, TraceChunks, DEFAULT_CHUNK_RECORDS};
 pub use decoded::{
     trace_decoded, trace_program_decoded, trace_program_with, DecodeError, DecodedMachine,
     DecodedProgram, Engine, JrTable, ParseEngineError,
@@ -55,3 +53,8 @@ pub use decoded::{
 pub use machine::{Machine, MachineState, RunResult, StepOutcome, VmError, DEFAULT_MEM_WORDS};
 pub use serialize::{TraceReader, RECORD_BYTES, TRACE_FORMAT_VERSION};
 pub use trace::{output_checksum, trace_program, BranchOutcome, Trace, TraceRecord};
+
+/// Ignored: `dee_bench::BenchEntry::prepare_probs` takes a chunk size
+/// that nothing reads. Kept because the repository benchmark
+/// (`perfbench/`) passes this constant there.
+pub const DEFAULT_CHUNK_RECORDS: usize = 64 * 1024;

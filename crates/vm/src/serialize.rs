@@ -16,7 +16,7 @@
 //! 1 = mem write, 2 = conditional branch, 3 = branch taken.
 //!
 //! [`TraceReader`] exposes the same stream incrementally — one record at
-//! a time — so consumers like `dee-store` can verify or re-chunk a
+//! a time — so consumers like `dee-store` can verify or replay a
 //! 100 M-instruction trace without materializing the record vector.
 //! [`Trace::read_from`] is built on top of it and additionally rejects
 //! trailing garbage: a valid stream ends exactly at the last output word.

@@ -83,6 +83,18 @@ impl Scale {
     pub fn all() -> [Scale; 4] {
         [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Large]
     }
+
+    /// The scale named `name`: `tiny`, `small`, `medium` or `large`.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Scale> {
+        match name {
+            "tiny" => Some(Scale::Tiny),
+            "small" => Some(Scale::Small),
+            "medium" => Some(Scale::Medium),
+            "large" => Some(Scale::Large),
+            _ => None,
+        }
+    }
 }
 
 /// A ready-to-run benchmark: program, input image, and the reference

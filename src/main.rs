@@ -334,22 +334,30 @@ fn analyze_plan(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn model_by_name(name: &str) -> Option<Model> {
-    Model::all_constrained()
-        .into_iter()
-        .chain([Model::Oracle])
-        .find(|m| m.name().eq_ignore_ascii_case(name))
+fn workload_scale(name: &str) -> Result<dee::workloads::Scale, String> {
+    dee::workloads::Scale::from_name(name).ok_or_else(|| format!("unknown scale `{name}`"))
 }
 
-fn workload_scale(name: &str) -> Result<dee::workloads::Scale, String> {
-    use dee::workloads::Scale;
-    match name {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "medium" => Ok(Scale::Medium),
-        "large" => Ok(Scale::Large),
-        other => Err(format!("unknown scale `{other}`")),
+/// Prints each `--model` (default: all eight) at `--et` over a prepared
+/// trace, shaped with its measured accuracy: `dee sim` and `dee replay`.
+fn print_speedups(prepared: &PreparedTrace, options: &Options) -> Result<(), String> {
+    let models: Vec<Model> = match &options.model {
+        Some(name) => {
+            vec![Model::from_name(name).ok_or_else(|| format!("unknown model `{name}`"))?]
+        }
+        None => Model::all().to_vec(),
+    };
+    let p = prepared.accuracy();
+    for model in models {
+        let out = simulate(prepared, &SimConfig::new(model, options.et).with_p(p));
+        println!(
+            "{:<10} @ {:>4} paths: {:>7.2}x",
+            model.name(),
+            options.et,
+            out.speedup()
+        );
     }
+    Ok(())
 }
 
 fn workload_by_name(
@@ -703,27 +711,11 @@ fn run(args: &[String]) -> Result<(), String> {
             let trace = trace_program(&program, &options.memory, 1_000_000_000)
                 .map_err(|e| e.to_string())?;
             let prepared = PreparedTrace::new(&program, &trace);
-            let p = prepared.accuracy();
-            println!("2-bit counter accuracy: {:.1}%", p * 100.0);
-            let models: Vec<Model> = match &options.model {
-                Some(name) => {
-                    vec![model_by_name(name).ok_or_else(|| format!("unknown model `{name}`"))?]
-                }
-                None => Model::all_constrained()
-                    .into_iter()
-                    .chain([Model::Oracle])
-                    .collect(),
-            };
-            for model in models {
-                let out = simulate(&prepared, &SimConfig::new(model, options.et).with_p(p));
-                println!(
-                    "{:<10} @ {:>4} paths: {:>7.2}x",
-                    model.name(),
-                    options.et,
-                    out.speedup()
-                );
-            }
-            Ok(())
+            println!(
+                "2-bit counter accuracy: {:.1}%",
+                prepared.accuracy() * 100.0
+            );
+            print_speedups(&prepared, &options)
         }
         "levo" => {
             let path = args.get(1).ok_or("missing program path")?;
@@ -827,27 +819,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let trace = dee::vm::Trace::read_from(std::io::BufReader::new(file))
                 .map_err(|e| e.to_string())?;
             println!("replaying {} records", trace.len());
-            let prepared = PreparedTrace::new(&program, &trace);
-            let p = prepared.accuracy();
-            let models: Vec<Model> = match &options.model {
-                Some(name) => {
-                    vec![model_by_name(name).ok_or_else(|| format!("unknown model `{name}`"))?]
-                }
-                None => Model::all_constrained()
-                    .into_iter()
-                    .chain([Model::Oracle])
-                    .collect(),
-            };
-            for model in models {
-                let out = simulate(&prepared, &SimConfig::new(model, options.et).with_p(p));
-                println!(
-                    "{:<10} @ {:>4} paths: {:>7.2}x",
-                    model.name(),
-                    options.et,
-                    out.speedup()
-                );
-            }
-            Ok(())
+            print_speedups(&PreparedTrace::new(&program, &trace), &options)
         }
         "serve" => {
             let options = parse_options(&args[1..])?;
@@ -973,10 +945,10 @@ mod tests {
 
     #[test]
     fn model_names_resolve_case_insensitively() {
-        assert_eq!(model_by_name("dee-cd-mf"), Some(Model::DeeCdMf));
-        assert_eq!(model_by_name("SP"), Some(Model::Sp));
-        assert_eq!(model_by_name("oracle"), Some(Model::Oracle));
-        assert_eq!(model_by_name("warp"), None);
+        assert_eq!(Model::from_name("dee-cd-mf"), Some(Model::DeeCdMf));
+        assert_eq!(Model::from_name("SP"), Some(Model::Sp));
+        assert_eq!(Model::from_name("oracle"), Some(Model::Oracle));
+        assert_eq!(Model::from_name("warp"), None);
     }
 
     #[test]

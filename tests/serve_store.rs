@@ -226,9 +226,9 @@ fn decode_compile_fault_degrades_to_interpreter_with_identical_bytes() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// Records published by the server replay chunk-by-chunk through
-/// `StoreReader`, and the streamed records match a fresh decoded-engine
-/// capture record for record.
+/// Records published by the server replay one at a time through
+/// `StoreReader::next_record`, and the streamed records match a fresh
+/// decoded-engine capture record for record.
 #[test]
 fn store_reader_streams_records_matching_decoded_capture() {
     use dee::store::{ArtifactKey, Store};
