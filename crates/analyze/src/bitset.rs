@@ -153,6 +153,7 @@ impl BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dee_rng::Rng;
 
     #[test]
     fn insert_remove_contains() {
@@ -174,31 +175,13 @@ mod tests {
         assert!(s.contains(66));
     }
 
-    /// Seeded xorshift64* — the workspace's standard offline PRNG.
-    struct XorShift(u64);
-
-    impl XorShift {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        fn below(&mut self, bound: usize) -> usize {
-            (self.next() % bound as u64) as usize
-        }
-    }
-
     /// A naive model: the same universe as a `Vec<bool>`.
-    fn random_pair(rng: &mut XorShift, bits: usize) -> (BitSet, Vec<bool>) {
+    fn random_pair(rng: &mut Rng, bits: usize) -> (BitSet, Vec<bool>) {
         let mut set = BitSet::new(bits);
         let mut model = vec![false; bits];
         for _ in 0..rng.below(2 * bits + 1) {
             let i = rng.below(bits);
-            if rng.next().is_multiple_of(2) {
+            if rng.next_u64().is_multiple_of(2) {
                 set.insert(i);
                 model[i] = true;
             } else {
@@ -231,13 +214,13 @@ mod tests {
     fn property_ops_match_vec_bool_model() {
         // Universe sizes straddle word boundaries on purpose.
         for seed in 1..=64u64 {
-            let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut rng = Rng::from_state(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             for &bits in &[1usize, 63, 64, 65, 130] {
                 let (mut a, mut ma) = random_pair(&mut rng, bits);
                 let (b, mb) = random_pair(&mut rng, bits);
                 assert_matches(&a, &ma, "construction", seed);
 
-                match rng.next() % 3 {
+                match rng.below(3) {
                     0 => {
                         let changed = a.union_with(&b);
                         let mut any = false;
@@ -276,7 +259,7 @@ mod tests {
     #[test]
     fn property_full_then_removals_match_model() {
         for seed in 1..=16u64 {
-            let mut rng = XorShift(seed ^ 0xDEE0_DEE0_DEE0_DEE0);
+            let mut rng = Rng::from_state(seed ^ 0xDEE0_DEE0_DEE0_DEE0);
             for &bits in &[7usize, 64, 129] {
                 let mut set = BitSet::full(bits);
                 let mut model = vec![true; bits];

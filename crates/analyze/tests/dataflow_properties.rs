@@ -1,8 +1,8 @@
 //! Property tests for the dataflow framework over seeded-random programs,
 //! plus hand-built mini-programs with known dominator trees and loop nests.
 //!
-//! The random programs are generated from a fixed xorshift seed, so a
-//! failure reproduces exactly; every assertion message carries the seed.
+//! Each random program is drawn from its own `dee-rng` seed, so a failure
+//! reproduces exactly; every assertion message carries the seed.
 
 use dee_analyze::bitset::BitSet;
 use dee_analyze::dataflow::{solve, transfer, Direction, GenKill, Meet};
@@ -10,70 +10,53 @@ use dee_analyze::flow::Flow;
 use dee_analyze::passes::{Liveness, ReachingDefs};
 use dee_analyze::structure::{find_loops, Doms};
 use dee_isa::{AluOp, BranchCond, Instr, Reg};
+use dee_rng::Rng;
 
-/// xorshift64: deterministic, dependency-free pseudo-randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn reg(&mut self) -> Reg {
-        Reg::new(self.below(8) as u8)
-    }
+fn reg(rng: &mut Rng) -> Reg {
+    Reg::new(rng.below(8) as u8)
 }
 
 /// A random program of `len` instructions with all targets in range.
 fn random_program(rng: &mut Rng, len: u32) -> Vec<Instr> {
     (0..len)
         .map(|_| {
-            let target = rng.below(u64::from(len)) as u32;
+            let target = rng.below(len as usize) as u32;
             match rng.below(10) {
                 0 => Instr::Li {
-                    rd: rng.reg(),
+                    rd: reg(rng),
                     imm: rng.below(100) as i32,
                 },
                 1 => Instr::Alu {
                     op: AluOp::Add,
-                    rd: rng.reg(),
-                    rs: rng.reg(),
-                    rt: rng.reg(),
+                    rd: reg(rng),
+                    rs: reg(rng),
+                    rt: reg(rng),
                 },
                 2 => Instr::AluImm {
                     op: AluOp::Mul,
-                    rd: rng.reg(),
-                    rs: rng.reg(),
+                    rd: reg(rng),
+                    rs: reg(rng),
                     imm: 3,
                 },
                 3 => Instr::Lw {
-                    rd: rng.reg(),
-                    base: rng.reg(),
+                    rd: reg(rng),
+                    base: reg(rng),
                     offset: rng.below(16) as i32,
                 },
                 4 => Instr::Sw {
-                    rs: rng.reg(),
-                    base: rng.reg(),
+                    rs: reg(rng),
+                    base: reg(rng),
                     offset: rng.below(16) as i32,
                 },
                 5 => Instr::Branch {
                     cond: BranchCond::Ne,
-                    rs: rng.reg(),
-                    rt: rng.reg(),
+                    rs: reg(rng),
+                    rt: reg(rng),
                     target,
                 },
                 6 => Instr::Jump { target },
                 7 => Instr::Jal { target },
-                8 => Instr::Out { rs: rng.reg() },
+                8 => Instr::Out { rs: reg(rng) },
                 _ => Instr::Nop,
             }
         })
@@ -143,15 +126,13 @@ fn assert_fixpoint(instrs: &[Instr], flow: &Flow, pass: &impl GenKill, seed: u64
 
 #[test]
 fn fixpoint_equations_hold_on_random_programs() {
-    let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
-    for round in 0..50u64 {
-        let seed = rng.0;
+    for seed in 0..50u64 {
+        let mut rng = Rng::new(seed);
         let len = 4 + rng.below(36) as u32;
         let instrs = random_program(&mut rng, len);
         let flow = Flow::new(&instrs);
         assert_fixpoint(&instrs, &flow, &Liveness::new(&instrs), seed);
         assert_fixpoint(&instrs, &flow, &ReachingDefs::new(&instrs), seed);
-        let _ = round;
     }
 }
 
@@ -185,15 +166,14 @@ fn transfer_is_monotone() {
             "seed {seed}: transfer not monotone at pc {pc}"
         );
     }
-    let mut rng = Rng(0xDEAD_BEEF_CAFE_F00D);
-    for _ in 0..30 {
-        let seed = rng.0;
+    for seed in 1000..1030u64 {
+        let mut rng = Rng::new(seed);
         let len = 4 + rng.below(28) as u32;
         let instrs = random_program(&mut rng, len);
         let live = Liveness::new(&instrs);
         let reach = ReachingDefs::new(&instrs);
         for _ in 0..20 {
-            let pc = rng.below(u64::from(len)) as u32;
+            let pc = rng.below(len as usize) as u32;
             check(&live, pc, &mut rng, seed);
             check(&reach, pc, &mut rng, seed);
         }
@@ -205,9 +185,8 @@ fn liveness_contains_use_before_def_on_the_entry_prefix() {
     // Walk the straight-line prefix from entry (stop at the first control
     // transfer): any register read before it is written must be live-in at
     // pc 0. This pins liveness to an independently computable ground truth.
-    let mut rng = Rng(0x1234_5678_9ABC_DEF1);
-    for _ in 0..100 {
-        let seed = rng.0;
+    for seed in 2000..2100u64 {
+        let mut rng = Rng::new(seed);
         let len = 4 + rng.below(36) as u32;
         let instrs = random_program(&mut rng, len);
         let flow = Flow::new(&instrs);

@@ -1,29 +1,13 @@
 //! Seeded-mutation coverage for every Error-severity lint: start from a
 //! shipped (lint-clean) workload, apply one targeted corruption chosen by
-//! a seeded xorshift, and assert the expected `DEE-E*` diagnostic fires.
-//! The mutation site varies with the seed, so repeated rounds probe
-//! different program points while staying exactly reproducible.
+//! a seeded `dee-rng` stream, and assert the expected `DEE-E*` diagnostic
+//! fires. Each round has its own seed, so repeated rounds probe different
+//! program points while staying exactly reproducible.
 
 use dee_analyze::{analyze_instrs, AnalyzeConfig, Lint, Severity};
 use dee_isa::{Instr, Reg};
+use dee_rng::Rng;
 use dee_workloads::Scale;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 fn base_instrs() -> Vec<Instr> {
     let w = dee_workloads::compress::build(Scale::Tiny);
@@ -56,13 +40,12 @@ fn e003_fires_when_a_definition_is_knocked_out() {
     // Replace a reachable defining instruction with a use of its own
     // destination: the register loses every reaching definition on some
     // path and the read becomes provably uninitialized.
-    let mut rng = Rng(0xE003);
     let base = base_instrs();
     let mut fired = 0;
-    for round in 0..40u64 {
-        let seed = rng.0;
+    for seed in 0xE003_0000..0xE003_0028u64 {
+        let mut rng = Rng::new(seed);
         let mut instrs = base.clone();
-        let idx = rng.below(instrs.len() as u64) as usize;
+        let idx = rng.below(instrs.len());
         let Some(rd) = instrs[idx].def() else {
             continue;
         };
@@ -74,7 +57,6 @@ fn e003_fires_when_a_definition_is_knocked_out() {
             assert!(report.has_errors(), "seed {seed}");
             fired += 1;
         }
-        let _ = round;
     }
     assert!(fired > 0, "no seed produced an uninitialized read");
     // And a deterministic minimal case, so the lint is pinned regardless
@@ -101,7 +83,6 @@ fn e004_fires_when_every_halt_is_removed() {
 
 #[test]
 fn e005_fires_on_a_retargeted_branch() {
-    let mut rng = Rng(0xE005);
     let base = base_instrs();
     let branch_sites: Vec<usize> = base
         .iter()
@@ -115,10 +96,10 @@ fn e005_fires_on_a_retargeted_branch() {
         .map(|(idx, _)| idx)
         .collect();
     assert!(!branch_sites.is_empty());
-    for _ in 0..10 {
-        let seed = rng.0;
+    for seed in 0xE005_0000..0xE005_000Au64 {
+        let mut rng = Rng::new(seed);
         let mut instrs = base.clone();
-        let idx = branch_sites[rng.below(branch_sites.len() as u64) as usize];
+        let idx = rng.pick(&branch_sites);
         let bogus = instrs.len() as u32 + 1 + rng.below(1000) as u32;
         match &mut instrs[idx] {
             Instr::Branch { target, .. } | Instr::Jump { target } | Instr::Jal { target } => {
@@ -132,10 +113,9 @@ fn e005_fires_on_a_retargeted_branch() {
 
 #[test]
 fn e011_fires_on_a_store_through_an_oob_constant() {
-    let mut rng = Rng(0xE011);
     let mem_words = AnalyzeConfig::default().mem_words;
-    for _ in 0..10 {
-        let seed = rng.0;
+    for seed in 0xE011_0000..0xE011_000Au64 {
+        let mut rng = Rng::new(seed);
         // A fresh straight-line program: li an out-of-bounds address,
         // store through it. The offset is seed-chosen.
         let overshoot = rng.below(1 << 20) as i32;
@@ -157,10 +137,9 @@ fn e011_fires_on_a_store_through_an_oob_constant() {
 
 #[test]
 fn e013_fires_on_a_load_through_an_oob_constant() {
-    let mut rng = Rng(0xE013);
     let mem_words = AnalyzeConfig::default().mem_words;
-    for _ in 0..10 {
-        let seed = rng.0;
+    for seed in 0xE013_0000..0xE013_000Au64 {
+        let mut rng = Rng::new(seed);
         let instrs = [
             Instr::Li {
                 rd: Reg::new(2),

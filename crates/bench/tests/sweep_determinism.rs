@@ -15,6 +15,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use dee_bench::pool;
+use dee_rng::Rng;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dee_sweep_det_{}_{tag}", std::process::id()));
@@ -199,12 +200,6 @@ fn every_binary_rejects_bad_arguments_before_doing_work() {
         check_rejected(fig5, &dir, argv, argv[0]);
     }
     check_rejected(fig5, &dir, &["--workloads", "cc1,gcc"], "gcc");
-    check_rejected(
-        env!("CARGO_BIN_EXE_loadgen"),
-        &dir,
-        &["--job", "4"],
-        "--job",
-    );
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -234,23 +229,10 @@ fn headline_store_replay_is_byte_invisible_across_jobs() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// One xorshift64* step — the same mixer family the serve fault plan
-/// uses; good enough to scramble job durations reproducibly.
-fn xorshift_star(mut x: u64) -> u64 {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
+/// `n` seeded job durations of 0 to 6 ms.
 fn seeded_delays(seed: u64, n: usize) -> Vec<u64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = xorshift_star(state);
-            state % 7
-        })
-        .collect()
+    let mut rng = Rng::new(seed);
+    (0..n).map(|_| rng.below(7) as u64).collect()
 }
 
 #[test]

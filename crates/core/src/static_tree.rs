@@ -376,37 +376,15 @@ mod proptests {
     //! Property tests over a deterministic xorshift sweep (the repo builds
     //! with no external crates, so no `proptest`; failures print the seed).
     use super::*;
-
-    /// xorshift64* — deterministic across platforms, good enough to sample
-    /// the (p, E_T) parameter space.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        fn p_in(&mut self, lo: f64, hi: f64) -> f64 {
-            lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-
-        fn et_in(&mut self, lo: u32, hi: u32) -> u32 {
-            lo + (self.next() % u64::from(hi - lo)) as u32
-        }
-    }
+    use dee_rng::Rng;
 
     /// The greedy static tree never exceeds its resource budget and its
     /// main line is always at least as long as its DEE height.
     #[test]
     fn shape_invariants() {
-        let mut rng = Rng(0x5eed_0001);
+        let mut rng = Rng::from_state(0x5eed_0001);
         for case in 0..256 {
-            let (p, et) = (rng.p_in(0.5, 0.99), rng.et_in(1, 300));
+            let (p, et) = (rng.f64_in(0.5, 0.99), 1 + rng.below(299) as u32);
             let t = StaticTree::build(TreeParams { p, et });
             assert!(t.total_paths() <= et, "case {case}: p={p} et={et}");
             assert!(t.mainline_len() >= 1, "case {case}: p={p} et={et}");
@@ -429,9 +407,9 @@ mod proptests {
     #[test]
     fn greedy_total_cp_dominates() {
         use crate::tree::{SpecTree, Strategy};
-        let mut rng = Rng(0x5eed_0002);
+        let mut rng = Rng::from_state(0x5eed_0002);
         for case in 0..256 {
-            let (p, et) = (rng.p_in(0.5, 0.99), rng.et_in(1, 128));
+            let (p, et) = (rng.f64_in(0.5, 0.99), 1 + rng.below(127) as u32);
             let dee = SpecTree::build(Strategy::Disjoint, p, et).total_cp();
             let sp = SpecTree::build(Strategy::SinglePath, p, et).total_cp();
             let ee = SpecTree::build(Strategy::Eager, p, et).total_cp();

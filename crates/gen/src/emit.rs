@@ -29,9 +29,9 @@
 //! passes draw the same PRNG sequence, so the layout is identical.
 
 use dee_isa::{Assembler, Program, Reg};
+use dee_rng::Rng;
 
 use crate::spec::GenSpec;
-use crate::Rng;
 
 /// Words per site decision stream (power of two; indexed mod this).
 pub const STREAM: usize = 256;

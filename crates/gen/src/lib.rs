@@ -22,8 +22,9 @@
 //!   file (or CSV row echoing the spec columns) is self-reproducing.
 //!
 //! Determinism contract: the same `(spec, seed)` yields byte-identical
-//! listings, memory images, and traces on every host — the generator uses
-//! its own xorshift64* PRNG and no platform-dependent state.
+//! listings, memory images, and traces on every host — the generator draws
+//! only from `dee-rng`'s seeded xorshift64* and no platform-dependent
+//! state.
 
 pub mod emit;
 pub mod spec;
@@ -59,42 +60,6 @@ impl std::error::Error for GenError {}
 impl From<SpecError> for GenError {
     fn from(e: SpecError) -> Self {
         GenError::Spec(e)
-    }
-}
-
-/// xorshift64* PRNG — the generator's only randomness source, seeded
-/// explicitly so every draw is reproducible.
-pub(crate) struct Rng(u64);
-
-impl Rng {
-    pub(crate) fn new(seed: u64) -> Rng {
-        // Avoid the all-zero fixed point while keeping distinct seeds
-        // distinct.
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub(crate) fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform in `0..n` (`n > 0`; modulo bias is irrelevant here).
-    pub(crate) fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Bernoulli draw.
-    pub(crate) fn chance(&mut self, p: f64) -> bool {
-        self.f64() < p
     }
 }
 

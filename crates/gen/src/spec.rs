@@ -194,11 +194,7 @@ impl GenSpec {
     /// generated workload names.
     #[must_use]
     pub fn digest(&self) -> u32 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.canonical().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let hash = dee_vm::fnv1a(self.canonical().as_bytes());
         (hash ^ (hash >> 32)) as u32
     }
 }

@@ -13,11 +13,15 @@
 //!   dynamic trace — the byte-identity guarantee `genspace` extends
 //!   across `--jobs`;
 //! * (d) measured 2-bit-counter accuracy is monotone in the `pred` knob —
-//!   the knob really is the axis the genspace sweep scans.
+//!   the knob really is the axis the genspace sweep scans;
+//! * (e) what the generator emits is pinned: a change to its PRNG, its
+//!   emitter or its memory image moves every generated workload, the
+//!   genspace golden included, and must show here.
 
 use dee_analyze::analyze;
 use dee_gen::{generate, GenSpec};
 use dee_predict::{measure_accuracy, TwoBitCounter};
+use dee_vm::{fnv1a, fnv1a_words};
 
 /// A deliberately diverse corner-plus-center grid of specs.
 fn grid() -> Vec<GenSpec> {
@@ -78,6 +82,27 @@ fn generation_is_deterministic_down_to_the_trace() {
         assert_eq!(a.workload.initial_memory, b.workload.initial_memory);
         assert_eq!(a.trace.records(), b.trace.records());
         assert_eq!(a.trace.output(), b.trace.output());
+    }
+}
+
+#[test]
+fn generated_programs_are_pinned() {
+    // FNV-1a of each grid spec's listing and memory image at seed 5.
+    let pinned: [(u64, u64); 6] = [
+        (0x78a2_5d0f_e151_3bdd, 0x6d5f_2970_1fe0_6e75),
+        (0x7dab_bee6_18d0_1309, 0x58d4_42ab_18ad_2be5),
+        (0xbe1c_22a1_0b32_612a, 0x50b1_a0f8_a5fb_d325),
+        (0x52b4_c4ce_4b16_4361, 0xcb8a_ab29_11e5_a834),
+        (0x5dc7_af65_d960_77b8, 0xfa4a_d5e7_c543_a105),
+        (0xf1fb_0fc5_a53c_0c64, 0xebc0_51e5_c437_7587),
+    ];
+    for (i, (spec, expected)) in grid().iter().zip(pinned).enumerate() {
+        let g = generate(spec, 5).unwrap();
+        let got = (
+            fnv1a(g.listing().as_bytes()),
+            fnv1a_words(&g.workload.initial_memory),
+        );
+        assert_eq!(got, expected, "grid[{i}] ({spec}) moved: {got:#x?}");
     }
 }
 

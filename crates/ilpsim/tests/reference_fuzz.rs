@@ -25,6 +25,7 @@ use dee_ilpsim::reference::Reference;
 use dee_ilpsim::{
     riseman_foster, simulate, LatencyModel, Model, PreparedTrace, SimConfig, SimOutcome,
 };
+use dee_rng::{env_u64, Rng};
 use dee_workloads::{Scale, WorkloadRegistry};
 
 const ETS: [u32; 7] = [1, 2, 3, 5, 8, 16, 32];
@@ -40,43 +41,6 @@ const ALL_MODELS: [Model; 8] = [
     Model::Oracle,
 ];
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// xorshift64*, seeded per iteration so a failing draw reproduces alone.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-        items[self.below(items.len())]
-    }
-}
-
 fn assert_agree(fast: &SimOutcome, literal: &SimOutcome, label: &str) {
     assert_eq!(
         fast, literal,
@@ -87,12 +51,12 @@ fn assert_agree(fast: &SimOutcome, literal: &SimOutcome, label: &str) {
 /// A random spec sized for a few thousand records.
 fn random_spec(rng: &mut Rng) -> GenSpec {
     GenSpec {
-        pred: 0.3 + 0.7 * rng.unit(),
-        spread: 0.2 * rng.unit(),
+        pred: 0.3 + 0.7 * rng.f64(),
+        spread: 0.2 * rng.f64(),
         depth: 1 + rng.below(3) as u32,
-        calls: rng.unit() * 0.6,
-        jr: rng.unit() * 0.4,
-        alias: rng.unit(),
+        calls: rng.f64() * 0.6,
+        jr: rng.f64() * 0.4,
+        alias: rng.f64(),
         blocks: 1 + rng.below(8) as u32,
         iters: 4 + rng.below(28) as u32,
     }

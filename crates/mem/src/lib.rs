@@ -406,33 +406,20 @@ mod proptests {
     //! Property tests over a deterministic xorshift sweep (the repo builds
     //! with no external crates, so no `proptest`; failures print the seed).
     use super::*;
+    use dee_rng::Rng;
 
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        fn addrs(&mut self, bound: u32, max_len: usize) -> Vec<u32> {
-            let len = 1 + (self.next() as usize) % max_len;
-            (0..len)
-                .map(|_| (self.next() % u64::from(bound)) as u32)
-                .collect()
-        }
+    /// 1 to `max_len` word addresses below `bound`.
+    fn addrs(rng: &mut Rng, bound: u32, max_len: usize) -> Vec<u32> {
+        let len = 1 + rng.below(max_len);
+        (0..len).map(|_| rng.below(bound as usize) as u32).collect()
     }
 
     /// Hits never exceed accesses; every access is counted.
     #[test]
     fn stats_sane() {
-        let mut rng = Rng(0x5eed_0003);
+        let mut rng = Rng::from_state(0x5eed_0003);
         for case in 0..128 {
-            let addrs = rng.addrs(4096, 200);
+            let addrs = addrs(&mut rng, 4096, 200);
             let mut c = Cache::new(CacheConfig::default());
             for &a in &addrs {
                 c.access(a);
@@ -447,9 +434,9 @@ mod proptests {
     /// (LRU inclusion property across way counts).
     #[test]
     fn more_ways_never_hurt() {
-        let mut rng = Rng(0x5eed_0004);
+        let mut rng = Rng::from_state(0x5eed_0004);
         for case in 0..128 {
-            let addrs = rng.addrs(256, 300);
+            let addrs = addrs(&mut rng, 256, 300);
             let small = CacheConfig {
                 sets: 8,
                 ways: 1,

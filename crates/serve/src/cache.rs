@@ -23,29 +23,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use dee_ilpsim::PreparedTrace;
 use dee_isa::Program;
 
-/// FNV-1a 64-bit hash — tiny, dependency-free, stable across runs.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a over a word slice (little-endian), for input-memory images.
-#[must_use]
-pub fn fnv1a_words(words: &[i32]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
+pub use dee_vm::{fnv1a, fnv1a_words};
 
 /// Cache key: content hashes of the program and its input memory, plus
 /// the preparing predictor.

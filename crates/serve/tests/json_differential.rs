@@ -20,6 +20,7 @@
 //! `DEE_CHAOS_SEED` (default 42) seeds the draws; `DEE_CHAOS_ITERS`
 //! (default 64) sets the number of documents.
 
+use dee_rng::{env_u64, Rng};
 use dee_serve::json::{parse, Json};
 
 /// The decoder as it was before strings were decoded in runs.
@@ -247,39 +248,6 @@ mod reference {
                 .map(Json::Num)
                 .map_err(|_| format!("bad number `{text}` at byte {start}"))
         }
-    }
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// xorshift64*, seeded per iteration so a failing draw reproduces alone.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
-        items[self.below(items.len())]
     }
 }
 

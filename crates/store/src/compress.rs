@@ -214,14 +214,10 @@ mod tests {
     #[test]
     fn incompressible_input_round_trips() {
         // xorshift noise: no 4-byte window repeats nearby.
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut raw = Vec::new();
-        for _ in 0..4_096 {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            raw.extend_from_slice(&state.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes());
-        }
+        let mut rng = dee_rng::Rng::from_state(0x1234_5678_9ABC_DEF0);
+        let raw: Vec<u8> = (0..4_096)
+            .flat_map(|_| rng.next_u64().to_le_bytes())
+            .collect();
         assert_eq!(round_trip(&raw), raw);
     }
 

@@ -40,10 +40,11 @@ mod store;
 pub use checksum::checksum64;
 pub use compress::{compress, decompress};
 pub use container::{ContainerInfo, ContainerReader, ContainerWriter, DEFAULT_CHUNK_SIZE};
+pub use dee_vm::{fnv1a, fnv1a_words};
 pub use store::{
-    fnv1a, fnv1a_words, info_file, valid_artifact_name, verify_file, verify_snapshot_bytes,
-    ArtifactKey, GcReport, Store, StoreEntry, StoreError, StoreReader, StoreSource, StoreStats,
-    VerifyReport, ARTIFACT_EXT, SNAPSHOT_EXT, SNAPSHOT_MAGIC,
+    info_file, valid_artifact_name, verify_file, verify_snapshot_bytes, ArtifactKey, GcReport,
+    Store, StoreEntry, StoreError, StoreReader, StoreSource, StoreStats, VerifyReport,
+    ARTIFACT_EXT, SNAPSHOT_EXT, SNAPSHOT_MAGIC,
 };
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use dee_vm::{Trace, TraceReader, TraceRecord, TRACE_FORMAT_VERSION};
+use dee_vm::{fnv1a, fnv1a_words, Trace, TraceReader, TraceRecord, TRACE_FORMAT_VERSION};
 
 use crate::checksum::checksum64;
 use crate::container::{read_info, ContainerInfo, ContainerReader, ContainerWriter};
@@ -66,32 +66,6 @@ pub fn verify_snapshot_bytes(bytes: &[u8]) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// FNV-1a 64-bit hash — the same stable, dependency-free digest the serve
-/// cache uses, duplicated here so `dee-store` stays foundation-level (it
-/// must not depend on `dee-serve`).
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a over a word slice (little-endian), for input-memory images.
-#[must_use]
-pub fn fnv1a_words(words: &[i32]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 /// Maps a label to the filename-safe alphabet `[a-z0-9_-]` (uppercase is
@@ -210,9 +184,8 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// Lock-free store counters, rendered both as Prometheus metrics
-/// (`dee-serve`'s `/metrics`) and as the one-line stderr timing summary
-/// the bench binaries print.
+/// Lock-free store counters, rendered as Prometheus metrics by
+/// `dee-serve`'s `/metrics`.
 #[derive(Debug, Default)]
 pub struct StoreStats {
     /// Artifacts replayed from disk.

@@ -15,6 +15,7 @@ use std::io;
 use std::path::PathBuf;
 
 use dee_isa::{Assembler, Reg};
+use dee_rng::Rng;
 use dee_store::{ArtifactKey, Store, StoreReader};
 use dee_vm::{Trace, TraceRecord};
 
@@ -22,20 +23,6 @@ fn scratch_store(tag: &str) -> (Store, PathBuf) {
     let dir = std::env::temp_dir().join(format!("dee_store_chunk_{}_{tag}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     (Store::open(&dir).expect("open scratch store"), dir)
-}
-
-/// splitmix64 — the same mixer the store's checksum uses, here as a
-/// deterministic fuzz PRNG.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
 }
 
 /// A loop whose trace length scales with `n`, with a store/load pair so
@@ -80,11 +67,11 @@ fn open(store: &Store, key: &ArtifactKey) -> StoreReader {
 #[test]
 fn replay_is_byte_identical_at_every_frame_alignment() {
     let (store, dir) = scratch_store("fuzz");
-    let mut rng = Rng(0xdee5_eed5);
+    let mut rng = Rng::new(0xdee5_eed5);
     // Seeded lengths put the last record and the output stream at varied
     // offsets within a frame; 4093 trips (16 375 records, 327 500 bytes)
     // cross the first 256 KiB frame boundary.
-    let mut lengths: Vec<i32> = (0..6).map(|_| 1 + (rng.next() % 2_500) as i32).collect();
+    let mut lengths: Vec<i32> = (0..6).map(|_| 1 + rng.below(2_500) as i32).collect();
     lengths.push(4093);
     for n in lengths {
         let (trace, key) = looped_trace(n);

@@ -14,6 +14,7 @@
 //! (default 16, so a debug `cargo test` stays quick; CI runs 300 in
 //! release) sets the number of seeded inputs and mutants per test.
 
+use dee_rng::{env_u64, Rng};
 use dee_store::{compress, decompress};
 use dee_vm::Trace;
 use dee_workloads::{Scale, WorkloadRegistry};
@@ -141,37 +142,9 @@ mod reference {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// xorshift64*, seeded per iteration so a failing draw reproduces alone.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    fn bytes(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.next_u64() as u8).collect()
-    }
+/// `n` seeded bytes.
+fn bytes(rng: &mut Rng, n: usize) -> Vec<u8> {
+    (0..n).map(|_| rng.next_u64() as u8).collect()
 }
 
 fn seed_and_iters() -> (u64, u64) {
@@ -194,7 +167,7 @@ fn seeded_input(rng: &mut Rng) -> Vec<u8> {
         match rng.below(6) {
             0 => {
                 let n = rng.below(300);
-                raw.extend(rng.bytes(n));
+                raw.extend(bytes(rng, n));
             }
             1 => {
                 let byte = rng.next_u64() as u8;
@@ -203,22 +176,22 @@ fn seeded_input(rng: &mut Rng) -> Vec<u8> {
             2 => {
                 // A pattern, then the same pattern 65535 ± 1 bytes later.
                 let n = 4 + rng.below(200);
-                let pattern = rng.bytes(n);
+                let pattern = bytes(rng, n);
                 let gap = 65_535 - pattern.len() + rng.below(3) - 1;
                 raw.extend_from_slice(&pattern);
-                raw.extend(rng.bytes(gap));
+                raw.extend(bytes(rng, gap));
                 raw.extend_from_slice(&pattern);
             }
             3 => {
                 // A short period repeated far past MAX_MATCH.
                 let n = 1 + rng.below(24);
-                let period = rng.bytes(n);
+                let period = bytes(rng, n);
                 for _ in 0..1 + rng.below(40) {
                     raw.extend_from_slice(&period);
                 }
             }
             4 => {
-                let mut record = rng.bytes(20);
+                let mut record = bytes(rng, 20);
                 for _ in 0..rng.below(200) {
                     let at = rng.below(20);
                     record[at] = rng.next_u64() as u8;

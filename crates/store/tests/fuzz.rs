@@ -9,33 +9,16 @@
 //! without tripping it). The bare `DEETRC1` stream carries no checksums,
 //! so there the contract is only "typed error or valid trace".
 //!
-//! All mutations come from a seeded xorshift64* generator, so a failure
+//! All mutations come from a seeded `dee-rng` stream, so a failure
 //! reproduces exactly.
 
 use std::io::Cursor;
 use std::path::PathBuf;
 
+use dee_rng::Rng;
 use dee_store::{verify_file, ContainerWriter, VerifyReport};
 use dee_vm::{Trace, TRACE_FORMAT_VERSION};
 use dee_workloads::Scale;
-
-/// xorshift64* — the same mixer family the serve fault plan uses.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
-}
 
 fn baseline_trace() -> Trace {
     dee_workloads::eqntott::build(Scale::Tiny)
@@ -76,7 +59,7 @@ fn mutated_containers_fail_typed_or_read_back_identical() {
     let baseline = verify_bytes(&path, &pristine).expect("pristine container verifies");
     assert_eq!(baseline.records, trace.len() as u64);
 
-    let mut rng = Rng(0xDEE5_70FE);
+    let mut rng = Rng::from_state(0xDEE5_70FE);
     let mut survivors = 0u32;
     for round in 0..300 {
         let mut bytes = pristine.clone();
@@ -86,7 +69,7 @@ fn mutated_containers_fail_typed_or_read_back_identical() {
             let at = rng.below(bytes.len());
             bytes[at] = match rng.below(3) {
                 0 => bytes[at] ^ (1 << rng.below(8)),
-                1 => rng.next() as u8,
+                1 => rng.next_u64() as u8,
                 _ => 0,
             };
         }
@@ -115,7 +98,7 @@ fn truncated_containers_always_fail_typed() {
     let trace = baseline_trace();
     let pristine = container_bytes(&trace);
     let path = scratch_file("truncate");
-    let mut rng = Rng(0x7A_BCDE);
+    let mut rng = Rng::from_state(0x7A_BCDE);
     // Every structural boundary plus a seeded sample of interior cuts.
     let mut cuts = vec![0, 1, 7, 8, 23, 24, pristine.len() - 1];
     for _ in 0..80 {
@@ -136,14 +119,14 @@ fn truncated_containers_always_fail_typed() {
 fn mutated_bare_traces_never_panic() {
     let trace = baseline_trace();
     let pristine = bare_bytes(&trace);
-    let mut rng = Rng(0x0BAD_5EED);
+    let mut rng = Rng::from_state(0x0BAD_5EED);
     for _ in 0..500 {
         let mut bytes = pristine.clone();
         for _ in 0..=rng.below(4) {
             let at = rng.below(bytes.len());
             bytes[at] = match rng.below(3) {
                 0 => bytes[at] ^ (1 << rng.below(8)),
-                1 => rng.next() as u8,
+                1 => rng.next_u64() as u8,
                 _ => 0xFF,
             };
         }
@@ -158,7 +141,7 @@ fn mutated_bare_traces_never_panic() {
 fn truncated_bare_traces_always_fail_typed() {
     let trace = baseline_trace();
     let pristine = bare_bytes(&trace);
-    let mut rng = Rng(0xC0FFEE);
+    let mut rng = Rng::from_state(0xC0FFEE);
     let mut cuts = vec![0, 1, 7, 8, 15, 16, pristine.len() - 1];
     for _ in 0..120 {
         cuts.push(rng.below(pristine.len()));
@@ -176,9 +159,9 @@ fn truncated_bare_traces_always_fail_typed() {
 fn garbage_and_cross_format_bytes_fail_typed() {
     let trace = baseline_trace();
     let path = scratch_file("garbage");
-    let mut rng = Rng(0x6A2BA6E);
+    let mut rng = Rng::from_state(0x6A2BA6E);
     for len in [0usize, 1, 8, 24, 63, 1024] {
-        let junk: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        let junk: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         assert!(verify_bytes(&path, &junk).is_err(), "{len} junk bytes");
         assert!(Trace::read_from(Cursor::new(junk)).is_err(), "{len} junk");
     }

@@ -52,7 +52,9 @@ pub use decoded::{
 };
 pub use machine::{Machine, MachineState, RunResult, StepOutcome, VmError, DEFAULT_MEM_WORDS};
 pub use serialize::{TraceReader, RECORD_BYTES, TRACE_FORMAT_VERSION};
-pub use trace::{output_checksum, trace_program, BranchOutcome, Trace, TraceRecord};
+pub use trace::{
+    fnv1a, fnv1a_words, output_checksum, trace_program, BranchOutcome, Trace, TraceRecord,
+};
 
 /// Ignored: `dee_bench::BenchEntry::prepare_probs` takes a chunk size
 /// that nothing reads. Kept because the repository benchmark

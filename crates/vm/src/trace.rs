@@ -157,18 +157,36 @@ impl Trace {
     }
 }
 
+/// FNV-1a 64-bit hash: tiny, stable across runs and hosts. It keys the
+/// serve cache and the artifact store and names generated workloads, so
+/// its values are part of those formats.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// [`fnv1a`] over a word slice (little-endian), for memory images and
+/// output streams.
+#[must_use]
+pub fn fnv1a_words(words: &[i32]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |hash, w| {
+        fnv1a_extend(hash, &w.to_le_bytes())
+    })
+}
+
+fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// FNV-1a over the output words; used to validate that different execution
 /// engines (functional VM, Levo model) computed identical results.
 #[must_use]
 pub fn output_checksum(output: &[i32]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &word in output {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    fnv1a_words(output)
 }
 
 /// Runs `program` on a fresh [`Machine`] with `initial_memory` loaded at

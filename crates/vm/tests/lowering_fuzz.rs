@@ -10,140 +10,111 @@
 //! (default 300) scales how many programs are fuzzed.
 
 use dee_isa::{AluOp, BranchCond, Instr, Program, ProgramError, Reg};
+use dee_rng::{env_u64, Rng};
 use dee_vm::{trace_program, trace_program_decoded, DecodeError, DecodedProgram};
 
-struct Rng(u64);
+fn reg(rng: &mut Rng) -> Reg {
+    Reg::new(rng.below(Reg::COUNT) as u8)
+}
 
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
+fn alu_op(rng: &mut Rng) -> AluOp {
+    rng.pick(&[
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::Div,
+        AluOp::Rem,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Nor,
+        AluOp::Sll,
+        AluOp::Srl,
+        AluOp::Sra,
+        AluOp::Slt,
+        AluOp::Sltu,
+        AluOp::Seq,
+    ])
+}
 
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
+fn cond(rng: &mut Rng) -> BranchCond {
+    rng.pick(&[
+        BranchCond::Eq,
+        BranchCond::Ne,
+        BranchCond::Lt,
+        BranchCond::Ge,
+        BranchCond::Le,
+        BranchCond::Gt,
+    ])
+}
 
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn reg(&mut self) -> Reg {
-        Reg::new(self.below(Reg::COUNT as u64) as u8)
-    }
-
-    fn alu_op(&mut self) -> AluOp {
-        const OPS: [AluOp; 15] = [
-            AluOp::Add,
-            AluOp::Sub,
-            AluOp::Mul,
-            AluOp::Div,
-            AluOp::Rem,
-            AluOp::And,
-            AluOp::Or,
-            AluOp::Xor,
-            AluOp::Nor,
-            AluOp::Sll,
-            AluOp::Srl,
-            AluOp::Sra,
-            AluOp::Slt,
-            AluOp::Sltu,
-            AluOp::Seq,
-        ];
-        OPS[self.below(OPS.len() as u64) as usize]
-    }
-
-    fn cond(&mut self) -> BranchCond {
-        const CONDS: [BranchCond; 6] = [
-            BranchCond::Eq,
-            BranchCond::Ne,
-            BranchCond::Lt,
-            BranchCond::Ge,
-            BranchCond::Le,
-            BranchCond::Gt,
-        ];
-        CONDS[self.below(CONDS.len() as u64) as usize]
-    }
-
-    /// A mostly-in-range static target; ~1 in 8 draws lands past the end,
-    /// exercising the `TargetOutOfRange` validation on both paths.
-    fn target(&mut self, len: u64) -> u32 {
-        if self.below(8) == 0 {
-            (len + self.below(4)) as u32
-        } else {
-            self.below(len.max(1)) as u32
-        }
-    }
-
-    /// Offsets biased small but occasionally extreme, so stores and loads
-    /// hit both valid memory and the out-of-range trap.
-    fn offset(&mut self) -> i32 {
-        match self.below(10) {
-            0 => i32::MIN + self.below(1000) as i32,
-            1 => i32::MAX - self.below(1000) as i32,
-            _ => self.below(64) as i32 - 8,
-        }
-    }
-
-    fn instr(&mut self, len: u64) -> Instr {
-        match self.below(12) {
-            0 => Instr::Alu {
-                op: self.alu_op(),
-                rd: self.reg(),
-                rs: self.reg(),
-                rt: self.reg(),
-            },
-            1 => Instr::AluImm {
-                op: self.alu_op(),
-                rd: self.reg(),
-                rs: self.reg(),
-                imm: self.offset(),
-            },
-            2 => Instr::Li {
-                rd: self.reg(),
-                imm: self.below(1 << 20) as i32 - (1 << 19),
-            },
-            3 => Instr::Lw {
-                rd: self.reg(),
-                base: self.reg(),
-                offset: self.offset(),
-            },
-            4 => Instr::Sw {
-                rs: self.reg(),
-                base: self.reg(),
-                offset: self.offset(),
-            },
-            5 => Instr::Branch {
-                cond: self.cond(),
-                rs: self.reg(),
-                rt: self.reg(),
-                target: self.target(len),
-            },
-            6 => Instr::Jump {
-                target: self.target(len),
-            },
-            7 => Instr::Jal {
-                target: self.target(len),
-            },
-            // `jr` through an arbitrary register: negative values, table
-            // dispatch, and targets past the end all arise dynamically.
-            8 => Instr::Jr { rs: self.reg() },
-            9 => Instr::Out { rs: self.reg() },
-            10 => Instr::Halt,
-            _ => Instr::Nop,
-        }
+/// A mostly-in-range static target; ~1 in 8 draws lands past the end,
+/// exercising the `TargetOutOfRange` validation on both paths.
+fn target(rng: &mut Rng, len: usize) -> u32 {
+    if rng.below(8) == 0 {
+        (len + rng.below(4)) as u32
+    } else {
+        rng.below(len.max(1)) as u32
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Offsets biased small but occasionally extreme, so stores and loads
+/// hit both valid memory and the out-of-range trap.
+fn offset(rng: &mut Rng) -> i32 {
+    match rng.below(10) {
+        0 => i32::MIN + rng.below(1000) as i32,
+        1 => i32::MAX - rng.below(1000) as i32,
+        _ => rng.below(64) as i32 - 8,
+    }
+}
+
+fn instr(rng: &mut Rng, len: usize) -> Instr {
+    match rng.below(12) {
+        0 => Instr::Alu {
+            op: alu_op(rng),
+            rd: reg(rng),
+            rs: reg(rng),
+            rt: reg(rng),
+        },
+        1 => Instr::AluImm {
+            op: alu_op(rng),
+            rd: reg(rng),
+            rs: reg(rng),
+            imm: offset(rng),
+        },
+        2 => Instr::Li {
+            rd: reg(rng),
+            imm: rng.below(1 << 20) as i32 - (1 << 19),
+        },
+        3 => Instr::Lw {
+            rd: reg(rng),
+            base: reg(rng),
+            offset: offset(rng),
+        },
+        4 => Instr::Sw {
+            rs: reg(rng),
+            base: reg(rng),
+            offset: offset(rng),
+        },
+        5 => Instr::Branch {
+            cond: cond(rng),
+            rs: reg(rng),
+            rt: reg(rng),
+            target: target(rng, len),
+        },
+        6 => Instr::Jump {
+            target: target(rng, len),
+        },
+        7 => Instr::Jal {
+            target: target(rng, len),
+        },
+        // `jr` through an arbitrary register: negative values, table
+        // dispatch, and targets past the end all arise dynamically.
+        8 => Instr::Jr { rs: reg(rng) },
+        9 => Instr::Out { rs: reg(rng) },
+        10 => Instr::Halt,
+        _ => Instr::Nop,
+    }
 }
 
 /// Collapses both error types onto a comparable shape.
@@ -200,14 +171,14 @@ fn check_stream(instrs: Vec<Instr>, memory: &[i32], limit: u64, label: &str) {
 fn random_streams_lower_and_run_identically() {
     let seed = env_u64("DEE_CHAOS_SEED", 42);
     let iters = env_u64("DEE_CHAOS_ITERS", 300);
-    let mut rng = Rng::new(seed ^ 0x4c4f_5745_5246_555a); // "LOWERFUZ"
+    let mut rng = Rng::from_state((seed ^ 0x4c4f_5745_5246_555a) | 1); // "LOWERFUZ"
     for case in 0..iters {
         let len = 1 + rng.below(40);
-        let mut instrs: Vec<Instr> = (0..len).map(|_| rng.instr(len)).collect();
+        let mut instrs: Vec<Instr> = (0..len).map(|_| instr(&mut rng, len)).collect();
         // Half the streams get a guaranteed halt so a healthy fraction
         // survives validation; the rest exercise the NoHalt reject.
         if rng.below(2) == 0 {
-            let at = rng.below(len) as usize;
+            let at = rng.below(len);
             instrs[at] = Instr::Halt;
         }
         let memory: Vec<i32> = (0..rng.below(32))

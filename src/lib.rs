@@ -26,8 +26,8 @@
 //!   (`dee serve`);
 //! * [`store`] — the persistent, checksummed trace-artifact store:
 //!   record-once/replay-many containers with streaming replay, behind
-//!   the bench binaries' `--store`, `dee serve --store`, and the
-//!   `dee trace record|info|verify|ls|gc` subcommands;
+//!   `dee serve --store` and the `dee trace record|info|verify|ls|gc`
+//!   subcommands;
 //! * [`snap`] — serializable `DEESNAP1` VM snapshots: complete machine +
 //!   predictor state at a record index of a published trace, enabling
 //!   warm-start range simulation and time travel (`dee snap ls|info|verify`,

@@ -7,25 +7,7 @@ use dee::ilpsim::{simulate, Model, PreparedTrace, SimConfig};
 use dee::isa::{Assembler, Program, Reg};
 use dee::levo::{Levo, LevoConfig, PredictorKind};
 use dee::vm::trace_program;
-
-/// Tiny deterministic generator; each test case is one seed, printed on
-/// failure for exact reproduction.
-struct Rng(u32);
-
-impl Rng {
-    fn next(&mut self) -> u32 {
-        let mut x = self.0.max(1);
-        x ^= x << 13;
-        x ^= x >> 17;
-        x ^= x << 5;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, bound: u32) -> u32 {
-        self.next() % bound
-    }
-}
+use dee_rng::Rng;
 
 /// Registers the generator plays with.
 fn pool(rng: &mut Rng) -> Reg {
@@ -60,9 +42,10 @@ fn random_mem(asm: &mut Assembler, rng: &mut Rng) {
 }
 
 /// Builds a random structured program: init, then a few blocks (straight
-/// line, counted loop, or if/else), then output of the whole pool.
-fn random_program(seed: u32) -> Program {
-    let mut rng = Rng(seed);
+/// line, counted loop, or if/else), then output of the whole pool. Each
+/// test case is one seed, printed on failure for exact reproduction.
+fn random_program(seed: u64) -> Program {
+    let mut rng = Rng::new(seed);
     let mut asm = Assembler::new();
     for i in 1..=8u8 {
         asm.li(Reg::new(i), rng.below(1000) as i32 - 500);
@@ -113,16 +96,10 @@ fn random_program(seed: u32) -> Program {
     asm.assemble().expect("generated program assembles")
 }
 
-/// The 48 seeds each differential test sweeps, spread deterministically
-/// over the seed space.
-fn seeds() -> impl Iterator<Item = u32> {
-    (0..48u32).map(|i| 1 + i.wrapping_mul(20_719) % 999_999)
-}
-
 /// VM and Levo agree on every random program, in all configurations.
 #[test]
 fn levo_agrees_with_vm_on_random_programs() {
-    for seed in seeds() {
+    for seed in 0..48u64 {
         let program = random_program(seed);
         let trace = trace_program(&program, &[], 200_000).expect("halts");
         for config in [
@@ -153,7 +130,7 @@ fn levo_agrees_with_vm_on_random_programs() {
 /// The model hierarchy and the oracle bound hold on random programs.
 #[test]
 fn ilpsim_invariants_on_random_programs() {
-    for seed in seeds() {
+    for seed in 0..48u64 {
         let program = random_program(seed);
         let trace = trace_program(&program, &[], 200_000).expect("halts");
         let prepared = PreparedTrace::new(&program, &trace);

@@ -19,13 +19,7 @@ use dee::gen::{generate_with, GenSpec};
 use dee::predict::{measure_accuracy, TwoBitCounter};
 use dee::vm::{DecodedMachine, DecodedProgram, Engine, Machine, Trace};
 use dee::workloads::{Scale, Workload, WorkloadRegistry};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use dee_rng::env_u64;
 
 fn deetrc1_bytes(trace: &Trace) -> Vec<u8> {
     let mut bytes = Vec::new();

@@ -8,12 +8,12 @@
 //! cache accounting is exact, oversized grids are shed with 503 before
 //! any work runs, and an injected fault spoils exactly its own cell.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+mod support;
+
 use std::sync::Arc;
-use std::time::Duration;
 
 use dee::serve::{FaultPlan, FaultSite, FaultSpec, Json, Server, ServerConfig};
+use support::{get, post, scrape};
 
 fn spawn(workers: usize) -> Server {
     Server::spawn(ServerConfig {
@@ -22,51 +22,6 @@ fn spawn(workers: usize) -> Server {
         ..ServerConfig::default()
     })
     .expect("bind on port 0")
-}
-
-/// One `Connection: close` HTTP exchange; returns (status, body).
-fn exchange(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream.write_all(raw.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let raw = format!(
-        "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    exchange(addr, &raw)
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn scrape(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#'))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(u64::MAX)
 }
 
 fn batch_results(body: &str) -> Vec<Json> {

@@ -15,8 +15,8 @@
 //! `DEE_CHAOS_ITERS` scales the soak length (default 300 requests, the
 //! acceptance floor); `DEE_CHAOS_SEED` picks the storm.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+mod support;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,6 +24,8 @@ use dee::ilpsim::{simulate, Model, PreparedTrace, SimConfig};
 use dee::serve::faults::FaultSpec;
 use dee::serve::{outcome_json, FaultPlan, FaultSite, Server, ServerConfig};
 use dee::workloads::Scale;
+use dee_rng::env_u64;
+use support::{get, post, scrape};
 
 fn spawn_with(workers: usize, faults: FaultPlan) -> Server {
     Server::spawn(ServerConfig {
@@ -38,70 +40,6 @@ fn spawn_with(workers: usize, faults: FaultPlan) -> Server {
         ..ServerConfig::default()
     })
     .expect("bind on port 0")
-}
-
-/// One raw exchange that never panics on transport hiccups: the server
-/// may inject a read fault and close early, so the write can fail while
-/// a response still arrives. Returns the full raw response text.
-fn raw_exchange(addr: std::net::SocketAddr, raw: &[u8]) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let _ = stream.write_all(raw);
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut response = String::new();
-    let _ = stream.read_to_string(&mut response);
-    response
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let raw = format!(
-        "POST {path} HTTP/1.1\r\nHost: chaos\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let response = raw_exchange(addr, raw.as_bytes());
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    let raw = format!("GET {path} HTTP/1.1\r\nHost: chaos\r\nConnection: close\r\n\r\n");
-    let response = raw_exchange(addr, raw.as_bytes());
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn scrape(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#'))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(u64::MAX)
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Waits until the supervisor has every worker slot alive again.

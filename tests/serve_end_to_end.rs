@@ -5,6 +5,8 @@
 //! stack produces. The worker pool, queue, and cache must be transparent
 //! to results.
 
+mod support;
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
@@ -14,6 +16,7 @@ use dee::ilpsim::{simulate, Model, PreparedTrace, SimConfig};
 use dee::serve::{outcome_json, tree_json, Json, Server, ServerConfig, ROUTES};
 use dee::theory::{StaticTree, TreeParams};
 use dee::workloads::Scale;
+use support::{exchange, get, post, scrape};
 
 fn spawn(workers: usize) -> Server {
     Server::spawn(ServerConfig {
@@ -22,51 +25,6 @@ fn spawn(workers: usize) -> Server {
         ..ServerConfig::default()
     })
     .expect("bind on port 0")
-}
-
-/// One `Connection: close` HTTP exchange; returns (status, body).
-fn exchange(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(raw.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let raw = format!(
-        "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    exchange(addr, &raw)
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn scrape(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#'))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(u64::MAX)
 }
 
 #[test]
@@ -252,7 +210,7 @@ fn every_route_answers_its_method_and_405s_any_other_and_the_banner_lists_it() {
             "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: 2\r\n\
              Connection: close\r\n\r\n{{}}"
         );
-        exchange(addr, &raw).0
+        exchange(addr, raw.as_bytes()).0
     };
     for &(method, path) in ROUTES {
         assert_ne!(status(method, path), 404, "{method} {path}");

@@ -3,8 +3,8 @@
 //! Seeded fuzz-style storm of broken HTTP and broken JSON against
 //! `dee-serve`. The contract: every malformed request is answered with a
 //! syntactically valid `4xx` response — never a hang, never a panic, and
-//! the server is still healthy afterwards. `DEE_FUZZ_SEED` picks the
-//! storm (default 1).
+//! the server is still healthy afterwards. `DEE_CHAOS_SEED` picks the
+//! storm (default 42).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -15,6 +15,7 @@ use dee::isa::parse::parse_program;
 use dee::serve::{FaultPlan, Server, ServerConfig};
 use dee::store::{ArtifactKey, Store};
 use dee::vm::trace_program;
+use dee_rng::{env_u64, Rng};
 
 fn spawn() -> Server {
     Server::spawn(ServerConfig {
@@ -80,29 +81,9 @@ fn healthy(addr: std::net::SocketAddr) -> bool {
     send_raw(addr, b"GET /healthz HTTP/1.1\r\nHost: fuzz\r\n\r\n") == 200
 }
 
-/// Same xorshift64*-style stream the fault plan uses.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-fn fuzz_seed() -> u64 {
-    std::env::var("DEE_FUZZ_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+/// The storm's stream: `DEE_CHAOS_SEED`, as every seeded suite reads it.
+fn storm_rng() -> Rng {
+    Rng::from_state(env_u64("DEE_CHAOS_SEED", 42) | 1)
 }
 
 #[test]
@@ -133,10 +114,10 @@ fn garbage_request_lines_get_400() {
 fn random_bytes_always_get_a_valid_4xx() {
     let server = spawn();
     let addr = server.addr();
-    let mut rng = Rng::new(fuzz_seed());
+    let mut rng = storm_rng();
     for i in 0..64 {
-        let len = (rng.next() % 512) as usize + 1;
-        let bytes: Vec<u8> = (0..len).map(|_| (rng.next() & 0xFF) as u8).collect();
+        let len = rng.below(512) + 1;
+        let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let status = send_raw(addr, &bytes);
         // Random bytes essentially never form a well-formed request line,
         // so the server must reject them — without dying.
@@ -197,15 +178,15 @@ fn mutated_json_bodies_never_hang_or_panic() {
     let server = spawn();
     let addr = server.addr();
     let valid = br#"{"workload":"compress","scale":"tiny","model":"SP","et":8}"#;
-    let mut rng = Rng::new(fuzz_seed());
+    let mut rng = storm_rng();
     for i in 0..64 {
         let mut body = valid.to_vec();
         // Flip 1–4 random bytes. Most mutations break the JSON (400);
         // a lucky flip inside a digit can stay valid (200). Either way
         // the response must be a valid one.
-        for _ in 0..=(rng.next() % 4) {
-            let at = (rng.next() as usize) % body.len();
-            body[at] ^= (rng.next() & 0xFF) as u8;
+        for _ in 0..=rng.below(4) {
+            let at = rng.below(body.len());
+            body[at] ^= rng.next_u64() as u8;
         }
         let status = post_body(addr, &body);
         assert!(

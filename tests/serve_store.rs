@@ -8,12 +8,12 @@
 //! either way. A corrupted artifact is quarantined and transparently
 //! re-traced; the client never sees the difference.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+mod support;
+
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use dee::serve::{Server, ServerConfig};
+use support::{post, scrape_at};
 
 fn spawn_with_store(dir: &Path) -> Server {
     Server::spawn(ServerConfig {
@@ -31,49 +31,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One `Connection: close` HTTP exchange; returns (status, body).
-fn exchange(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(raw.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let raw = format!(
-        "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    exchange(addr, &raw)
-}
-
-fn scrape(addr: std::net::SocketAddr, name: &str) -> u64 {
-    let (status, metrics) = exchange(
-        addr,
-        "GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
-    );
-    assert_eq!(status, 200);
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#'))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing:\n{metrics}"))
-}
-
 const BODY: &str = r#"{"workload":"xlisp","scale":"tiny","model":"DEE-CD-MF","et":32}"#;
 
 #[test]
@@ -84,9 +41,9 @@ fn prepared_traces_survive_restart_as_disk_tier_hits() {
     let server = spawn_with_store(&dir);
     let (status, cold_body) = post(server.addr(), "/simulate", BODY);
     assert_eq!(status, 200, "{cold_body}");
-    assert_eq!(scrape(server.addr(), "dee_store_disk_hits_total"), 0);
-    assert_eq!(scrape(server.addr(), "dee_store_misses_total"), 1);
-    assert_eq!(scrape(server.addr(), "dee_store_writes_total"), 1);
+    assert_eq!(scrape_at(server.addr(), "dee_store_disk_hits_total"), 0);
+    assert_eq!(scrape_at(server.addr(), "dee_store_misses_total"), 1);
+    assert_eq!(scrape_at(server.addr(), "dee_store_writes_total"), 1);
     server.shutdown();
     let artifacts: Vec<_> = std::fs::read_dir(&dir)
         .expect("store dir exists")
@@ -105,8 +62,8 @@ fn prepared_traces_survive_restart_as_disk_tier_hits() {
         warm_body, cold_body,
         "disk-tier replay changed response bytes"
     );
-    assert_eq!(scrape(server.addr(), "dee_store_disk_hits_total"), 1);
-    assert_eq!(scrape(server.addr(), "dee_store_writes_total"), 0);
+    assert_eq!(scrape_at(server.addr(), "dee_store_disk_hits_total"), 1);
+    assert_eq!(scrape_at(server.addr(), "dee_store_writes_total"), 0);
     // The disk tier sits *inside* the prepared-cache miss path: a second
     // identical request is a memory hit and never touches the store.
     let (status, again) = post(server.addr(), "/simulate", BODY);
@@ -116,7 +73,7 @@ fn prepared_traces_survive_restart_as_disk_tier_hits() {
         again,
         cold_body.replace("\"cache\":\"miss\"", "\"cache\":\"hit\"")
     );
-    assert_eq!(scrape(server.addr(), "dee_store_disk_hits_total"), 1);
+    assert_eq!(scrape_at(server.addr(), "dee_store_disk_hits_total"), 1);
     server.shutdown();
     std::fs::remove_dir_all(dir).ok();
 }
@@ -147,11 +104,11 @@ fn corrupt_artifact_is_quarantined_and_request_succeeds_anyway() {
     let (status, healed_body) = post(server.addr(), "/simulate", BODY);
     assert_eq!(status, 200, "{healed_body}");
     assert_eq!(healed_body, clean_body, "fallback changed response bytes");
-    assert_eq!(scrape(server.addr(), "dee_store_disk_hits_total"), 0);
-    assert_eq!(scrape(server.addr(), "dee_store_quarantined_total"), 1);
+    assert_eq!(scrape_at(server.addr(), "dee_store_disk_hits_total"), 0);
+    assert_eq!(scrape_at(server.addr(), "dee_store_quarantined_total"), 1);
     // The re-trace republished a good artifact over the same key, and
     // the bad bytes went to quarantine/ rather than being destroyed.
-    assert_eq!(scrape(server.addr(), "dee_store_writes_total"), 1);
+    assert_eq!(scrape_at(server.addr(), "dee_store_writes_total"), 1);
     dee::store::verify_file(&artifact).expect("republished artifact verifies");
     assert!(
         dir.join("quarantine")
@@ -180,7 +137,7 @@ fn decode_compile_fault_degrades_to_interpreter_with_identical_bytes() {
     let (status, clean_body) = post(server.addr(), "/simulate", BODY);
     assert_eq!(status, 200, "{clean_body}");
     assert_eq!(
-        scrape(
+        scrape_at(
             server.addr(),
             "dee_faults_injected_total{site=\"decode_compile\"}"
         ),
@@ -216,7 +173,7 @@ fn decode_compile_fault_degrades_to_interpreter_with_identical_bytes() {
         "interpreter fallback changed response bytes"
     );
     assert_eq!(
-        scrape(
+        scrape_at(
             server.addr(),
             "dee_faults_injected_total{site=\"decode_compile\"}"
         ),

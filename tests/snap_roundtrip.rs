@@ -12,14 +12,16 @@
 //! `dee_store_quarantined_total` counter and the `quarantine/`
 //! directory.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+mod support;
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dee::serve::{FaultPlan, Server, ServerConfig};
+use dee_rng::Rng;
+use support::{get, post, scrape_at};
 
 /// The two fixed storm seeds the CI job pins.
 const CHAOS_SEEDS: [u64; 2] = [42, 1995];
@@ -35,45 +37,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dee_snap_rt_{}_{tag}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
-}
-
-/// One raw exchange tolerant of injected transport hiccups.
-fn raw_exchange(addr: std::net::SocketAddr, raw: &[u8]) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let _ = stream.write_all(raw);
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut response = String::new();
-    let _ = stream.read_to_string(&mut response);
-    response
-}
-
-fn split(response: &str) -> (u16, String) {
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let raw = format!(
-        "POST {path} HTTP/1.1\r\nHost: snap\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    split(&raw_exchange(addr, raw.as_bytes()))
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    let raw = format!("GET {path} HTTP/1.1\r\nHost: snap\r\nConnection: close\r\n\r\n");
-    split(&raw_exchange(addr, raw.as_bytes()))
 }
 
 /// Retries a request until it answers 200 (the storm is disarmed but
@@ -93,37 +56,11 @@ fn post_until_ok(addr: std::net::SocketAddr, path: &str, body: &str) -> String {
     }
 }
 
-fn scrape(addr: std::net::SocketAddr, name: &str) -> u64 {
-    let (status, metrics) = get(addr, "/metrics");
-    assert_eq!(status, 200);
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#'))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing:\n{metrics}"))
-}
-
-/// xorshift64* — the same generator loadgen uses, so the request
-/// streams here and in `loadgen --range` are drawn from one family.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
 /// The i-th seeded `/simulate_range` body for this storm.
 fn range_body(i: usize, seed: u64, trace_len: u64) -> String {
-    let mut rng = Rng((seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1);
-    let start = rng.next() % trace_len.saturating_sub(1).max(1);
-    let span = 1 + rng.next() % 512;
+    let mut rng = Rng::from_state((seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1);
+    let start = rng.next_u64() % trace_len.saturating_sub(1).max(1);
+    let span = 1 + rng.next_u64() % 512;
     let end = (start + span).min(trace_len);
     let predictor = ["twobit", "gshare", "pap", "taken"][i % 4];
     format!(
@@ -233,7 +170,7 @@ fn roundtrip_under_seed(seed: u64) {
         assert_eq!(&response, expected, "calm response diverged for {body}");
     }
     assert!(
-        scrape(addr, "dee_snap_seek_hits_total") > 0,
+        scrape_at(addr, "dee_snap_seek_hits_total") > 0,
         "no warm start ever happened — snapshots unused"
     );
 
@@ -264,7 +201,7 @@ fn roundtrip_under_seed(seed: u64) {
     bytes[mid] ^= 0xFF;
     std::fs::write(victim, bytes).expect("corrupt snapshot");
 
-    let quarantined_before = scrape(addr, "dee_store_quarantined_total");
+    let quarantined_before = scrape_at(addr, "dee_store_quarantined_total");
     let corrupt_probe = format!(
         r#"{{"workload":"compress","scale":"tiny","model":"SP","et":8,"predictor":"gshare","start":{},"end":{}}}"#,
         STRIDE + 100,
@@ -278,7 +215,7 @@ fn roundtrip_under_seed(seed: u64) {
         "from-zero fallback after snapshot corruption changed bytes"
     );
     assert!(
-        scrape(addr, "dee_store_quarantined_total") > quarantined_before,
+        scrape_at(addr, "dee_store_quarantined_total") > quarantined_before,
         "corrupt snapshot was never quarantined"
     );
     assert!(!victim.exists(), "corrupt snapshot still in the store root");
@@ -296,11 +233,11 @@ fn roundtrip_under_seed(seed: u64) {
     );
     let (status, oracle_late) = post(oracle.addr(), "/simulate_range", &late_probe);
     assert_eq!(status, 200, "{oracle_late}");
-    let hits_before = scrape(addr, "dee_snap_seek_hits_total");
+    let hits_before = scrape_at(addr, "dee_snap_seek_hits_total");
     let late = post_until_ok(addr, "/simulate_range", &late_probe);
     assert_eq!(late, oracle_late, "surviving-snapshot warm start diverged");
     assert!(
-        scrape(addr, "dee_snap_seek_hits_total") > hits_before,
+        scrape_at(addr, "dee_snap_seek_hits_total") > hits_before,
         "surviving snapshot was not used for the warm start"
     );
 

@@ -2,7 +2,7 @@
 //! assignment (Theorem 1/Corollary 1) against exhaustive search, and
 //! structural invariants of the speculation trees.
 //!
-//! Cases are drawn from a deterministic xorshift sweep (the repo builds
+//! Cases are drawn from a deterministic `dee-rng` sweep (the repo builds
 //! with no external crates, so no `proptest`); assertion messages carry
 //! the sampled parameters so failures reproduce exactly.
 
@@ -10,27 +10,11 @@ use dee::theory::{
     assign_resources, expected_performance, PathCandidate, SpecTree, StaticTree, Strategy,
     TreeParams,
 };
+use dee_rng::Rng;
 
-/// xorshift64* — deterministic across platforms.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn f_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn u_in(&mut self, lo: u32, hi: u32) -> u32 {
-        lo + (self.next() % u64::from(hi - lo)) as u32
-    }
+/// Uniform in `lo..hi`.
+fn u_in(rng: &mut Rng, lo: u32, hi: u32) -> u32 {
+    lo + rng.below((hi - lo) as usize) as u32
 }
 
 /// Exhaustive best `P_tot` over all allocations (small instances only).
@@ -63,20 +47,20 @@ fn brute_force_best(paths: &[PathCandidate], total: u32) -> f64 {
 /// Theorem 1 + Corollary 1: greedy equals exhaustive optimum.
 #[test]
 fn greedy_assignment_is_optimal() {
-    let mut rng = Rng(0x7eed_0001);
+    let mut rng = Rng::from_state(0x7eed_0001);
     for case in 0..64 {
-        let n = rng.u_in(1, 5) as usize;
-        let cps: Vec<f64> = (0..n).map(|_| rng.f_in(0.01, 1.0)).collect();
+        let n = u_in(&mut rng, 1, 5) as usize;
+        let cps: Vec<f64> = (0..n).map(|_| rng.f64_in(0.01, 1.0)).collect();
         let sats: Vec<Option<u32>> = (0..n)
             .map(|_| {
-                if rng.next().is_multiple_of(2) {
-                    Some(rng.u_in(1, 4))
+                if rng.next_u64().is_multiple_of(2) {
+                    Some(u_in(&mut rng, 1, 4))
                 } else {
                     None
                 }
             })
             .collect();
-        let total = rng.u_in(0, 7);
+        let total = u_in(&mut rng, 0, 7);
         let paths: Vec<PathCandidate> = cps
             .iter()
             .zip(sats.iter())
@@ -98,13 +82,13 @@ fn greedy_assignment_is_optimal() {
 /// The greedy allocation never hands out more than the budget.
 #[test]
 fn assignment_respects_budget() {
-    let mut rng = Rng(0x7eed_0002);
+    let mut rng = Rng::from_state(0x7eed_0002);
     for case in 0..128 {
-        let n = rng.u_in(1, 8) as usize;
+        let n = u_in(&mut rng, 1, 8) as usize;
         let paths: Vec<PathCandidate> = (0..n)
-            .map(|_| PathCandidate::saturating(rng.f_in(0.01, 1.0), 3))
+            .map(|_| PathCandidate::saturating(rng.f64_in(0.01, 1.0), 3))
             .collect();
-        let total = rng.u_in(0, 50);
+        let total = u_in(&mut rng, 0, 50);
         let alloc = assign_resources(&paths, total);
         assert!(
             alloc.iter().sum::<u32>() <= total,
@@ -120,9 +104,9 @@ fn assignment_respects_budget() {
 /// interpolate their depths.
 #[test]
 fn disjoint_tree_dominates_and_interpolates() {
-    let mut rng = Rng(0x7eed_0003);
+    let mut rng = Rng::from_state(0x7eed_0003);
     for case in 0..128 {
-        let (p, et) = (rng.f_in(0.5, 0.99), rng.u_in(1, 200));
+        let (p, et) = (rng.f64_in(0.5, 0.99), u_in(&mut rng, 1, 200));
         let dee = SpecTree::build(Strategy::Disjoint, p, et);
         let sp = SpecTree::build(Strategy::SinglePath, p, et);
         let ee = SpecTree::build(Strategy::Eager, p, et);
@@ -143,9 +127,9 @@ fn disjoint_tree_dominates_and_interpolates() {
 /// its ancestry (a cp-consistency invariant).
 #[test]
 fn chosen_path_cps_are_consistent() {
-    let mut rng = Rng(0x7eed_0004);
+    let mut rng = Rng::from_state(0x7eed_0004);
     for case in 0..128 {
-        let (p, et) = (rng.f_in(0.5, 0.99), rng.u_in(1, 64));
+        let (p, et) = (rng.f64_in(0.5, 0.99), u_in(&mut rng, 1, 64));
         let tree = SpecTree::build(Strategy::Disjoint, p, et);
         for path in tree.paths() {
             let mut cp = 1.0;
@@ -163,9 +147,9 @@ fn chosen_path_cps_are_consistent() {
 /// and fits the budget at every operating point.
 #[test]
 fn static_tree_accounting() {
-    let mut rng = Rng(0x7eed_0005);
+    let mut rng = Rng::from_state(0x7eed_0005);
     for case in 0..256 {
-        let (p, et) = (rng.f_in(0.5, 0.99), rng.u_in(1, 400));
+        let (p, et) = (rng.f64_in(0.5, 0.99), u_in(&mut rng, 1, 400));
         let tree = StaticTree::build(TreeParams { p, et });
         let region: u32 = (1..=tree.h_dee()).map(|k| tree.coverage_at_level(k)).sum();
         assert_eq!(
