@@ -10,7 +10,6 @@
 //! byte-compare server responses against locally computed payloads built
 //! with the same functions.
 
-use std::convert::Infallible;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -25,7 +24,7 @@ use dee_levo::{Levo, LevoConfig, LevoReport, PredictorKind};
 use dee_predict::BranchPredictor;
 use dee_snap::Snapshot;
 use dee_store::{ArtifactKey, Store, StoreReader};
-use dee_vm::{trace_program_with, Engine, Machine, Trace, TraceRecord};
+use dee_vm::{trace_program_with, Engine, Machine, Trace, TraceRecord, VmError};
 use dee_workloads::{Scale, Workload};
 
 use crate::cache::{fnv1a, fnv1a_words, CacheKey, PreparedCache, PreparedEntry};
@@ -162,6 +161,25 @@ struct Source {
     memory: Vec<i32>,
     /// Stable identity for cache keys and response labels.
     label: String,
+    /// A registry workload's lower-case `(name, scale)`, the tags its
+    /// trace artifact and snapshots are stored under; `None` for an
+    /// upload, whose trace never touches the store.
+    registry: Option<(String, String)>,
+}
+
+/// A registry workload as a request source.
+fn workload_source(name: &str, scale: Scale) -> Result<Source, ApiError> {
+    let workload = workload_by_name(name, scale)?;
+    let (name, scale) = (
+        name.to_ascii_lowercase(),
+        format!("{scale:?}").to_ascii_lowercase(),
+    );
+    Ok(Source {
+        label: format!("{name}/{scale}"),
+        program: workload.program,
+        memory: workload.initial_memory,
+        registry: Some((name, scale)),
+    })
 }
 
 /// Resolves the program + memory a request simulates. This is the single
@@ -194,12 +212,7 @@ fn resolve_source(body: &Json, faults: &FaultPlan) -> Result<Source, ApiError> {
             // Shipped workloads are proven lint-clean by the bench gate
             // and `workloads_clean` tests; re-analyzing them per request
             // would only burn worker time.
-            let workload = workload_by_name(name, scale)?;
-            Ok(Source {
-                label: format!("{name}/{scale:?}").to_ascii_lowercase(),
-                memory: workload.initial_memory.clone(),
-                program: workload.program,
-            })
+            workload_source(name, scale)
         }
         (None, Some(source_text)) => {
             let program = parse_program(source_text)
@@ -242,28 +255,27 @@ fn resolve_source(body: &Json, faults: &FaultPlan) -> Result<Source, ApiError> {
                 program,
                 memory,
                 label,
+                registry: None,
             })
         }
         (None, None) => Err(ApiError::bad_request("missing `workload` or `program`")),
     }
 }
 
-/// The disk-tier artifact key for a request source. Workload labels are
-/// `name/scale`; uploaded programs fall under the `program` pseudo
-/// workload with their content hash as the scale tag. Either way the
-/// digest covers the exact listing and memory image, so a label
-/// collision can never replay the wrong trace.
-fn artifact_key(source: &Source) -> ArtifactKey {
-    let (workload, scale) = match source.label.split_once('/') {
-        Some((workload, scale)) => (workload, scale),
-        None => ("program", source.label.as_str()),
-    };
-    ArtifactKey::new(
+/// The disk-tier key of a registry workload's trace and snapshots, or
+/// `None` for an upload: nothing reads an upload's trace back, since
+/// every new listing mints a new key and replay loses to recapture
+/// anyway. The digest covers the exact listing and memory image, so a
+/// tag collision can never replay the wrong trace. Built on demand
+/// because it hashes both, which a prepared-cache hit never needs.
+fn artifact_key(source: &Source) -> Option<ArtifactKey> {
+    let (workload, scale) = source.registry.as_ref()?;
+    Some(ArtifactKey::new(
         workload,
         scale,
         &source.program.to_listing(),
         &source.memory,
-    )
+    ))
 }
 
 /// Largest record count a stored artifact's header may pre-size the
@@ -271,8 +283,8 @@ fn artifact_key(source: &Source) -> ArtifactKey {
 /// columns grow fine without it.
 const STORED_RESERVE_CAP: usize = 1 << 20;
 
-/// The disk tier's read side, shared by `/simulate` and
-/// `/simulate_range`. Unless [`FaultSite::StoreRead`] trips, opens `key`'s
+/// The disk tier's read side, for a registry workload's prepared-cache
+/// miss (`/simulate` or a `/batch` cell). Unless [`FaultSite::StoreRead`] trips, opens `key`'s
 /// artifact and hands the reader to `read`. Counts a disk hit, with its
 /// replay time, when `read` succeeds, and a miss otherwise. A body `read`
 /// rejects — corruption [`Store::open_reader`]'s header check cannot see
@@ -307,15 +319,21 @@ fn read_stored<T>(
     None
 }
 
-/// Captures the raw trace on the VM, and is the disk tier's write side.
-/// The capture runs the pre-decoded engine; a tripped
-/// [`FaultSite::DecodeCompile`] degrades it to the reference interpreter.
-/// Both engines produce byte-identical traces, so only the
+/// The message of a 500 for a program that faults or passes
+/// [`STEP_LIMIT`], whether a capture or a range's stepping met it.
+fn trace_error(e: VmError) -> String {
+    format!("trace: {e}")
+}
+
+/// Captures the raw trace on the VM for a prepared-cache miss, and is the
+/// disk tier's write side. The capture runs the pre-decoded engine; a
+/// tripped [`FaultSite::DecodeCompile`] degrades it to the reference
+/// interpreter. Both engines produce byte-identical traces, so only the
 /// `dee_faults_injected_total{site="decode_compile"}` counter reveals the
-/// degradation. With a store, the capture is timed into
-/// `dee_store_trace_nanos_total` and the trace published under `key`
-/// best-effort: a tripped [`FaultSite::StoreWrite`] or a failed put only
-/// counts a write error.
+/// degradation. With a tier (a registry workload and a store), the
+/// capture is timed into `dee_store_trace_nanos_total` and the trace
+/// published under `key` best-effort: a tripped [`FaultSite::StoreWrite`]
+/// or a failed put only counts a write error.
 fn capture_trace(
     source: &Source,
     faults: &FaultPlan,
@@ -328,7 +346,7 @@ fn capture_trace(
     };
     let capture_start = Instant::now();
     let trace = trace_program_with(engine, &source.program, &source.memory, STEP_LIMIT)
-        .map_err(|e| format!("trace: {e}"))?;
+        .map_err(trace_error)?;
     if let Some((store, key)) = tier {
         let stats = store.stats();
         stats
@@ -342,15 +360,19 @@ fn capture_trace(
 }
 
 /// Prepares the trace for a prepared-cache miss, consulting the disk
-/// tier first when a store is configured.
+/// tier first for a registry workload when a store is configured. An
+/// upload always captures, and its trace is never published.
 ///
 /// With an intact artifact on disk, the raw records stream from the
 /// container into the builder one at a time — the full `Trace` is never
 /// materialized — and the output stream, footer and end of file are read
-/// after them, so a disk hit verifies the whole artifact. Store faults
-/// degrade rather than fail (see [`read_stored`] and [`capture_trace`]):
-/// the caller always gets a correct prepared trace, and only the
-/// `dee_store_*` counters reveal what happened.
+/// after them, so a disk hit verifies the whole artifact. A record whose
+/// pc lies outside the program, or whose memory access lies outside the
+/// machine (refused by the record decoder), rejects the artifact, which
+/// is quarantined and recaptured. Store faults degrade rather than fail
+/// (see [`read_stored`] and [`capture_trace`]): the caller always gets a
+/// correct prepared trace, and only the `dee_store_*` counters reveal
+/// what happened.
 fn prepare_streamed(
     source: &Source,
     predictor_name: &str,
@@ -358,7 +380,7 @@ fn prepare_streamed(
     store: Option<&Store>,
 ) -> Result<PreparedTrace, String> {
     let new_predictor = || predictor_by_name(predictor_name).map_err(|e| e.message);
-    let key = store.map(|_| artifact_key(source));
+    let key = store.and_then(|_| artifact_key(source));
     let tier = store.zip(key.as_ref());
     if let Some((store, key)) = tier {
         let mut predictor = new_predictor()?;
@@ -367,6 +389,17 @@ fn prepare_streamed(
             let declared = usize::try_from(reader.record_count()).unwrap_or(usize::MAX);
             builder.reserve(declared.min(STORED_RESERVE_CAP));
             while let Some(record) = reader.next_record()? {
+                // The builder indexes its per-pc tables by the record's pc.
+                if record.pc as usize >= source.program.len() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "record pc {} outside the {}-instruction program",
+                            record.pc,
+                            source.program.len()
+                        ),
+                    ));
+                }
                 builder.push_record(&record);
             }
             let output = reader.read_output()?;
@@ -388,13 +421,14 @@ fn prepare_streamed(
 
 /// Fetches (or prepares and caches) the prepared trace for a request.
 ///
-/// On a prepared-cache miss with a store configured, the raw trace is
-/// replayed from the disk tier when an intact artifact exists (and
-/// recorded to it otherwise); the predictor replay still runs either
-/// way. The returned `hit` flag — and therefore the response's `cache`
-/// field — reports the *prepared* cache only: disk-tier activity is
-/// visible exclusively through the `dee_store_*` metrics, so responses
-/// stay byte-identical with and without a store.
+/// On a prepared-cache miss for a registry workload with a store
+/// configured, the raw trace is replayed from the disk tier when an
+/// intact artifact exists (and recorded to it otherwise); the predictor
+/// replay still runs either way. An upload's miss always captures. The
+/// returned `hit` flag — and therefore the response's `cache` field —
+/// reports the *prepared* cache only: disk-tier activity is visible
+/// exclusively through the `dee_store_*` metrics, so responses stay
+/// byte-identical with and without a store.
 ///
 /// # Errors
 ///
@@ -462,6 +496,26 @@ pub fn outcome_json(outcome: &SimOutcome) -> Json {
     ])
 }
 
+/// [`prepared_for`], timed into the `serve.lookup` phase on a hit and
+/// `serve.miss` on a miss: once per request or `/batch` cell.
+fn timed_prepared_for(
+    cache: &PreparedCache,
+    body: &Json,
+    faults: &FaultPlan,
+    store: Option<&Store>,
+    metrics: &Metrics,
+) -> Result<(Arc<PreparedEntry>, bool, String), ApiError> {
+    let lookup_start = Instant::now();
+    let found = prepared_for(cache, body, faults, store)?;
+    let phase = if found.1 {
+        &metrics.phase_lookup
+    } else {
+        &metrics.phase_miss
+    };
+    phase.record(lookup_start.elapsed());
+    Ok(found)
+}
+
 /// `POST /simulate` — run ILP limit models over a prepared trace.
 ///
 /// # Errors
@@ -474,8 +528,9 @@ pub fn handle_simulate(
     deadline: Instant,
     faults: &FaultPlan,
     store: Option<&Store>,
+    metrics: &Metrics,
 ) -> Result<(Json, bool), ApiError> {
-    let (entry, hit, label) = prepared_for(cache, body, faults, store)?;
+    let (entry, hit, label) = timed_prepared_for(cache, body, faults, store, metrics)?;
     let et = parse_et(body)?;
     let models: Vec<Model> = match str_field(body, "model") {
         None | Some("all") => Model::all().to_vec(),
@@ -496,9 +551,40 @@ pub fn handle_simulate(
     };
     let latency = parse_latency(body)?;
     let max_pe = u64_field(body, "max_pe", 0)?;
+    let results = simulate_models(
+        &entry.prepared,
+        &models,
+        (et, p, latency, max_pe),
+        deadline,
+        metrics,
+    )?;
+    let response = Json::obj(vec![
+        ("source", Json::str(label)),
+        ("cache", Json::str(if hit { "hit" } else { "miss" })),
+        ("p", Json::from(p)),
+        ("results", Json::Arr(results)),
+    ]);
+    Ok((response, hit))
+}
 
+/// Runs each model over `prepared` and renders its outcome, timed into
+/// the `ilpsim.simulate` phase once for the whole request. `et` is
+/// forced to 0 for `Oracle`; `max_pe` 0 leaves PEs implicitly limited.
+///
+/// # Errors
+///
+/// `400` for a `max_pe` past `u32`, `504` when the deadline passes
+/// between models.
+fn simulate_models(
+    prepared: &PreparedTrace,
+    models: &[Model],
+    (et, p, latency, max_pe): (u32, f64, LatencyModel, u64),
+    deadline: Instant,
+    metrics: &Metrics,
+) -> Result<Vec<Json>, ApiError> {
+    let simulate_start = Instant::now();
     let mut results = Vec::with_capacity(models.len());
-    for model in models {
+    for &model in models {
         if Instant::now() > deadline {
             return Err(ApiError::deadline());
         }
@@ -510,15 +596,10 @@ pub fn handle_simulate(
                 u32::try_from(max_pe).map_err(|_| ApiError::bad_request("`max_pe` too large"))?,
             );
         }
-        results.push(outcome_json(&simulate(&entry.prepared, &config)));
+        results.push(outcome_json(&simulate(prepared, &config)));
     }
-    let response = Json::obj(vec![
-        ("source", Json::str(label)),
-        ("cache", Json::str(if hit { "hit" } else { "miss" })),
-        ("p", Json::from(p)),
-        ("results", Json::Arr(results)),
-    ]);
-    Ok((response, hit))
+    metrics.phase_simulate.record(simulate_start.elapsed());
+    Ok(results)
 }
 
 /// One cell of a `POST /batch` grid: a fully resolved (workload, model,
@@ -687,6 +768,7 @@ pub fn run_batch_cell(
     deadline: Instant,
     faults: &FaultPlan,
     store: Option<&Store>,
+    metrics: &Metrics,
 ) -> (Json, Option<bool>) {
     let mut source = vec![
         ("workload", Json::str(cell.workload.clone())),
@@ -697,25 +779,14 @@ pub fn run_batch_cell(
     }
     let source = Json::obj(source);
     let mut hit = None;
-    let outcome = (|| {
-        let (entry, was_hit, _label) = prepared_for(cache, &source, faults, store)?;
+    let outcome = (|| -> Result<Json, ApiError> {
+        let (entry, was_hit, _label) = timed_prepared_for(cache, &source, faults, store, metrics)?;
         hit = Some(was_hit);
-        if Instant::now() > deadline {
-            return Err(ApiError::deadline());
-        }
         let p = cell.p.unwrap_or_else(|| entry.prepared.accuracy());
-        let et = if cell.model == Model::Oracle {
-            0
-        } else {
-            cell.et
-        };
-        let mut config = SimConfig::new(cell.model, et)
-            .with_p(p)
-            .with_latency(cell.latency);
-        if cell.max_pe > 0 {
-            config = config.with_max_pe(cell.max_pe);
-        }
-        Ok(outcome_json(&simulate(&entry.prepared, &config)))
+        let settings = (cell.et, p, cell.latency, u64::from(cell.max_pe));
+        let mut results =
+            simulate_models(&entry.prepared, &[cell.model], settings, deadline, metrics)?;
+        Ok(results.remove(0))
     })();
     let mut members = batch_cell_identity(cell);
     if let Some(h) = hit {
@@ -891,34 +962,133 @@ pub fn handle_levo(body: &Json, deadline: Instant, faults: &FaultPlan) -> Result
     Ok(json)
 }
 
-/// Builds a prepared trace over records `[start, end)` in one pass over
-/// `records`.
+/// Resumes the machine a range or a time-travel query starts from,
+/// shared by `/simulate_range` and `/debug/at`: the published snapshot
+/// nearest at or below record `at`, or a reset machine holding the
+/// source's memory image.
 ///
-/// Records `[0, skip)` are discarded unseen — a restored snapshot
-/// already accounts for them (its predictor blobs carry exactly that
-/// prefix's history). Records `[skip, start)` replay through the
-/// predictor without entering the build, warming it to the range
-/// start with the exact `predict` + `resolve` sequence
-/// [`PreparedTraceBuilder::push_record`] would have issued. Records
-/// from `start` up to `end` (or trace end) are packed; nothing past
-/// `end` is read.
+/// The seek runs only for a registry workload with a store configured:
+/// it trips [`FaultSite::SnapSeek`] and [`FaultSite::SnapRead`] and counts
+/// one `dee_snap_seek_hits_total` or `dee_snap_seek_misses_total`. A
+/// snapshot that fails to decode, names another parent trace, disagrees
+/// with its file name about its record index, or that `accept` refuses
+/// (a range restores its predictor from it) also counts a
+/// `dee_snap_decode_failures_total`, and the start falls back to reset.
+/// The decoded machine state is moved into the machine, not copied.
+///
+/// Returns the machine, positioned at some record `k ≤ at`, and what
+/// `accept` made of the snapshot (`None` for a reset machine).
+///
+/// # Errors
+///
+/// Only a reset machine can fail: the memory image is larger than the
+/// machine's memory.
+fn resume_machine<T>(
+    source: &Source,
+    at: u64,
+    faults: &FaultPlan,
+    store: Option<&Store>,
+    metrics: &Metrics,
+    accept: impl FnOnce(&Snapshot) -> Result<T, String>,
+) -> Result<(Machine, Option<T>), VmError> {
+    let key = store.and_then(|_| artifact_key(source));
+    if let Some((store, key)) = store.zip(key) {
+        let found = if faults.trip(FaultSite::SnapSeek).is_some() {
+            None
+        } else {
+            dee_snap::nearest_snapshot(store, &key, at)
+        };
+        if let Some((index, bytes)) = found {
+            let decoded = if faults.trip(FaultSite::SnapRead).is_some() {
+                Err("injected fault: snap_read".to_string())
+            } else {
+                Snapshot::decode(&bytes, &source.memory).and_then(|snap| {
+                    if snap.parent_digest != key.digest {
+                        return Err("snapshot parent digest mismatch".to_string());
+                    }
+                    if snap.record_index != index || snap.machine.executed != index {
+                        return Err(format!("snapshot is not at its file's record {index}"));
+                    }
+                    let accepted = accept(&snap)?;
+                    Ok((snap, accepted))
+                })
+            };
+            match decoded {
+                Ok((snap, accepted)) => {
+                    metrics.snap_seek_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok((Machine::from_state(snap.machine), Some(accepted)));
+                }
+                Err(_) => {
+                    metrics.snap_decode_failures.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
+    }
+    let mut machine = Machine::new();
+    machine.try_load_memory(&source.memory)?;
+    Ok((machine, None))
+}
+
+/// The records `machine` produces from where it stands, one step each,
+/// ending after its `halt`. It steps as a capture does, with the same
+/// `trace: <VmError>` 500 for a fault and for passing [`STEP_LIMIT`].
+/// Polling the clock per step would dominate the replay; once per
+/// 64 Ki steps bounds the overshoot past `deadline` to well under a
+/// millisecond of VM work.
+fn stepped<'a>(
+    machine: &'a mut Machine,
+    program: &'a dee_isa::Program,
+    deadline: Instant,
+) -> impl Iterator<Item = Result<TraceRecord, ApiError>> + 'a {
+    let mut since_deadline_check = 0u32;
+    std::iter::from_fn(move || {
+        if machine.is_halted() {
+            return None;
+        }
+        since_deadline_check += 1;
+        if since_deadline_check == 65_536 {
+            since_deadline_check = 0;
+            if Instant::now() > deadline {
+                return Some(Err(ApiError::deadline()));
+            }
+        }
+        if machine.executed() >= STEP_LIMIT {
+            let limit = VmError::StepLimit { limit: STEP_LIMIT };
+            return Some(Err(ApiError::internal(trace_error(limit))));
+        }
+        Some(
+            machine
+                .step(program)
+                .map(|(_, record)| record)
+                .map_err(|e| ApiError::internal(trace_error(e))),
+        )
+    })
+}
+
+/// Builds a prepared trace over a record range in one pass over
+/// `records`, which begin at the record the machine resumed at.
+///
+/// The first `warm` records replay through `predictor` without entering
+/// the build, warming it to the range start with the exact `predict` +
+/// `resolve` sequence [`PreparedTraceBuilder::push_record`] would have
+/// issued; a restored snapshot's predictor already holds the history
+/// before them. The next `len` records (all that remain when `None`) are
+/// packed, and nothing past them is pulled, so a stepped machine never
+/// runs past the range's end.
 ///
 /// Returns the prepared subtrace, the number of records packed, and
-/// the nanoseconds spent warming the predictor ahead of `start`.
-fn prepare_range<E>(
+/// the nanoseconds spent warming the predictor ahead of the range.
+fn prepare_range(
     program: &dee_isa::Program,
-    mut records: impl Iterator<Item = Result<TraceRecord, E>>,
-    skip: u64,
-    start: u64,
-    end: Option<u64>,
+    mut records: impl Iterator<Item = Result<TraceRecord, ApiError>>,
+    warm: u64,
+    len: Option<u64>,
     predictor: &mut dyn BranchPredictor,
-) -> Result<(PreparedTrace, u64, u64), E> {
+) -> Result<(PreparedTrace, u64, u64), ApiError> {
     let count = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
-    for record in records.by_ref().take(count(skip)) {
-        record?;
-    }
     let warm_start = Instant::now();
-    for record in records.by_ref().take(count(start.saturating_sub(skip))) {
+    for record in records.by_ref().take(count(warm)) {
         let record = record?;
         if let Some(outcome) = record.branch {
             let _ = predictor.predict(record.pc);
@@ -927,7 +1097,7 @@ fn prepare_range<E>(
     }
     let warm_nanos = warm_start.elapsed().as_nanos() as u64;
     let mut builder = PreparedTraceBuilder::new(program, predictor);
-    for record in records.take(end.map_or(usize::MAX, |e| count(e - start))) {
+    for record in records.take(len.map_or(usize::MAX, count)) {
         builder.push_record(&record?);
     }
     let taken = builder.pushed() as u64;
@@ -939,20 +1109,24 @@ fn prepare_range<E>(
 /// `POST /simulate_range` — run the ILP limit models over records
 /// `[start, end)` of a source's trace.
 ///
-/// When a store is configured, the handler seeks the published
-/// snapshot with the largest record index `≤ start` and warm-starts
-/// the predictor from its serialized state instead of replaying the
-/// whole prefix. The response is **byte-identical** with and without a
-/// snapshot (and under any [`FaultSite::SnapSeek`] /
-/// [`FaultSite::SnapRead`] injection): warm starts are visible only in
-/// the `dee_snap_*` counters. Range results are not entered into the
-/// prepared cache — each request streams its own subrange.
+/// The range never reads or writes a trace artifact. For a registry
+/// workload with a store configured, the handler resumes the VM and the
+/// predictor from the published snapshot with the largest record index
+/// `≤ start` (see [`resume_machine`]); otherwise it steps the VM from
+/// reset. Either way it steps no further than `end`, warms the predictor
+/// up to `start` and packs `[start, end)`. The response is
+/// **byte-identical** with and without a snapshot (and under any
+/// [`FaultSite::SnapSeek`] / [`FaultSite::SnapRead`] injection): warm
+/// starts are visible only in the `dee_snap_*` counters. Range results
+/// are not entered into the prepared cache — each request builds its own
+/// subrange.
 ///
 /// # Errors
 ///
 /// `400` for bad sources, an empty/inverted range, or a `start` past
 /// the end of the trace; `422` from static analysis; `500` when the
-/// program faults; `504` past the deadline.
+/// program faults or passes the step limit before `end`; `504` past the
+/// deadline.
 pub fn handle_simulate_range(
     body: &Json,
     deadline: Instant,
@@ -993,97 +1167,31 @@ pub fn handle_simulate_range(
         return Err(ApiError::internal("injected fault: trace_prepare"));
     }
 
-    let key = artifact_key(&source);
-    // Warm-start attempt. A usable snapshot only ever changes *where*
-    // the predictor replay starts, never what the packed region looks
-    // like — the DEESNAP1 convention (state at `k` = predictor has
-    // consumed exactly records `[0, k)`) guarantees the mispredict
-    // flags come out identical to a from-zero replay.
-    let snap: Option<Snapshot> = store.and_then(|store| {
-        let found = if faults.trip(FaultSite::SnapSeek).is_some() {
-            None
-        } else {
-            dee_snap::nearest_snapshot(store, &key, start)
-        };
-        let (_, bytes) = match found {
-            Some(hit) => hit,
-            None => {
-                metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        let decoded = if faults.trip(FaultSite::SnapRead).is_some() {
-            Err("injected fault: snap_read".to_string())
-        } else {
-            Snapshot::decode(&bytes, &source.memory).and_then(|snap| {
-                if snap.parent_digest != key.digest {
-                    return Err("snapshot parent digest mismatch".to_string());
-                }
-                // Prove the predictor blob restores before committing to
-                // the warm start; a missing blob restores only stateless
-                // predictors (load_state(&[]) is their no-op default).
-                let mut probe = predictor_by_name(predictor_name).map_err(|e| e.message)?;
-                probe.load_state(snap.predictor_state(probe.name()).unwrap_or(&[]))?;
-                Ok(snap)
-            })
-        };
-        match decoded {
-            Ok(snap) => {
-                metrics.snap_seek_hits.fetch_add(1, Ordering::Relaxed);
-                Some(snap)
-            }
-            Err(_) => {
-                metrics.snap_decode_failures.fetch_add(1, Ordering::Relaxed);
-                metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    });
-    let skip = snap.as_ref().map_or(0, |s| s.record_index);
-    let make_predictor = || -> Result<Box<dyn BranchPredictor>, ApiError> {
-        let mut p = predictor_by_name(predictor_name).map_err(|e| ApiError::internal(e.message))?;
-        if let Some(s) = &snap {
-            p.load_state(s.predictor_state(p.name()).unwrap_or(&[]))
-                .map_err(ApiError::internal)?;
-        }
-        Ok(p)
+    // A usable snapshot only ever changes *where* the replay starts,
+    // never what the packed region looks like — the DEESNAP1 convention
+    // (state at `k` = machine about to run record `k`, predictor has
+    // consumed exactly records `[0, k)`) guarantees the records and the
+    // mispredict flags come out identical to a from-zero replay. A
+    // missing blob restores only stateless predictors (`load_state(&[])`
+    // is their no-op default).
+    let (mut machine, restored) = resume_machine(&source, start, faults, store, metrics, |snap| {
+        let mut predictor = predictor_by_name(predictor_name).map_err(|e| e.message)?;
+        predictor.load_state(snap.predictor_state(predictor.name()).unwrap_or(&[]))?;
+        Ok(predictor)
+    })
+    .map_err(|e| ApiError::internal(trace_error(e)))?;
+    let mut predictor = match restored {
+        Some(predictor) => predictor,
+        None => predictor_by_name(predictor_name)?,
     };
-
-    // The record stream: replayed from the disk artifact when intact,
-    // captured on the VM otherwise (and best-effort published so the
-    // next range request can stream it).
-    let tier = store.map(|store| (store, &key));
-    let mut built = None;
-    if let Some((store, key)) = tier {
-        let mut predictor = make_predictor()?;
-        built = read_stored(store, key, faults, |reader| {
-            let records = std::iter::from_fn(|| reader.next_record().transpose());
-            prepare_range(
-                &source.program,
-                records,
-                skip,
-                start,
-                end,
-                predictor.as_mut(),
-            )
-        });
-    }
-    let (prepared, taken, warm_nanos) = match built {
-        Some(done) => done,
-        None => {
-            let trace = capture_trace(&source, faults, tier).map_err(ApiError::internal)?;
-            let records = trace.records().iter().map(|&r| Ok::<_, Infallible>(r));
-            let Ok(done) = prepare_range(
-                &source.program,
-                records,
-                skip,
-                start,
-                end,
-                make_predictor()?.as_mut(),
-            );
-            done
-        }
-    };
+    let warm = start - machine.executed();
+    let (prepared, taken, warm_nanos) = prepare_range(
+        &source.program,
+        stepped(&mut machine, &source.program, deadline),
+        warm,
+        end.map(|e| e - start),
+        predictor.as_mut(),
+    )?;
     metrics
         .snap_replay_nanos
         .fetch_add(warm_nanos, Ordering::Relaxed);
@@ -1100,21 +1208,13 @@ pub fn handle_simulate_range(
             .filter(|p| (0.0..=1.0).contains(p))
             .ok_or_else(|| ApiError::bad_request("`p` must be in [0, 1]"))?,
     };
-    let mut results = Vec::with_capacity(models.len());
-    for model in models {
-        if Instant::now() > deadline {
-            return Err(ApiError::deadline());
-        }
-        let mut config = SimConfig::new(model, if model == Model::Oracle { 0 } else { et })
-            .with_p(p)
-            .with_latency(latency);
-        if max_pe > 0 {
-            config = config.with_max_pe(
-                u32::try_from(max_pe).map_err(|_| ApiError::bad_request("`max_pe` too large"))?,
-            );
-        }
-        results.push(outcome_json(&simulate(&prepared, &config)));
-    }
+    let results = simulate_models(
+        &prepared,
+        &models,
+        (et, p, latency, max_pe),
+        deadline,
+        metrics,
+    )?;
     Ok(Json::obj(vec![
         ("source", Json::str(source.label)),
         ("start", Json::from(start)),
@@ -1128,12 +1228,12 @@ pub fn handle_simulate_range(
 /// `GET /debug/at?workload=W&scale=S&record=K` — time travel: the
 /// machine's architectural state right before executing record `K`.
 ///
-/// Restores the nearest published snapshot at or below `K` when a
-/// store is configured and steps the VM the remaining distance, so the
-/// answer is byte-identical with and without snapshots — only the
-/// `dee_snap_*` counters reveal which path ran. The response carries
-/// checksums of the output and memory images, never the images
-/// themselves.
+/// Resumes from the nearest published snapshot at or below `K` when a
+/// store is configured (see [`resume_machine`]) and steps the VM the
+/// remaining distance, so the answer is byte-identical with and without
+/// snapshots — only the `dee_snap_*` counters reveal which path ran. The
+/// response carries checksums of the output and memory images, never the
+/// images themselves.
 ///
 /// # Errors
 ///
@@ -1161,73 +1261,19 @@ pub fn handle_debug_at(
             "`record` too large (max {STEP_LIMIT})"
         )));
     }
-    let w = workload_by_name(workload, scale)?;
-    let source = Source {
-        label: format!("{workload}/{scale:?}").to_ascii_lowercase(),
-        memory: w.initial_memory.clone(),
-        program: w.program,
-    };
-    let key = artifact_key(&source);
-    let mut machine = Machine::new();
-    machine
-        .try_load_memory(&source.memory)
+    let source = workload_source(workload, scale)?;
+    let (mut machine, _) = resume_machine(&source, record, faults, store, metrics, |_| Ok(()))
         .map_err(|e| ApiError::internal(e.to_string()))?;
-    if let Some(store) = store {
-        let found = if faults.trip(FaultSite::SnapSeek).is_some() {
-            None
-        } else {
-            dee_snap::nearest_snapshot(store, &key, record)
-        };
-        match found {
-            Some((_, bytes)) => {
-                let decoded = if faults.trip(FaultSite::SnapRead).is_some() {
-                    Err("injected fault: snap_read".to_string())
-                } else {
-                    Snapshot::decode(&bytes, &source.memory).and_then(|snap| {
-                        if snap.parent_digest != key.digest {
-                            return Err("snapshot parent digest mismatch".to_string());
-                        }
-                        Ok(snap)
-                    })
-                };
-                match decoded {
-                    Ok(snap) => {
-                        machine.restore_state(&snap.machine);
-                        metrics.snap_seek_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        metrics.snap_decode_failures.fetch_add(1, Ordering::Relaxed);
-                        metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            None => {
-                metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
     let replay_start = Instant::now();
-    let mut since_deadline_check = 0u32;
-    while machine.executed() < record {
-        if machine.is_halted() {
-            return Err(ApiError::bad_request(format!(
-                "`record` {record} is past the end of the trace ({} records)",
-                machine.executed()
-            )));
-        }
-        // Polling the clock per instruction would dominate the replay;
-        // once per 64 Ki steps bounds the overshoot to well under a
-        // millisecond of VM work.
-        since_deadline_check += 1;
-        if since_deadline_check == 65_536 {
-            since_deadline_check = 0;
-            if Instant::now() > deadline {
-                return Err(ApiError::deadline());
-            }
-        }
-        machine
-            .step(&source.program)
-            .map_err(|e| ApiError::internal(e.to_string()))?;
+    let from = machine.executed();
+    for step in stepped(&mut machine, &source.program, deadline).take((record - from) as usize) {
+        step?;
+    }
+    if machine.executed() < record {
+        return Err(ApiError::bad_request(format!(
+            "`record` {record} is past the end of the trace ({} records)",
+            machine.executed()
+        )));
     }
     metrics
         .snap_replay_nanos
@@ -1272,20 +1318,28 @@ mod tests {
         Instant::now() + std::time::Duration::from_secs(60)
     }
 
+    /// `handle_simulate` with a far deadline and a fresh metrics registry.
+    fn simulate_with(
+        cache: &PreparedCache,
+        body: &Json,
+        faults: &FaultPlan,
+        store: Option<&Store>,
+    ) -> Result<(Json, bool), ApiError> {
+        handle_simulate(cache, body, far_deadline(), faults, store, &Metrics::new())
+    }
+
     #[test]
     fn simulate_workload_miss_then_hit() {
         let cache = PreparedCache::new(8, 2);
         let body = parse(r#"{"workload":"xlisp","scale":"tiny","model":"SP","et":16}"#).unwrap();
-        let (response, hit) =
-            handle_simulate(&cache, &body, far_deadline(), &FaultPlan::inert(), None).unwrap();
+        let (response, hit) = simulate_with(&cache, &body, &FaultPlan::inert(), None).unwrap();
         assert!(!hit);
         assert_eq!(response.get("cache").and_then(Json::as_str), Some("miss"));
         let results = response.get("results").and_then(Json::as_arr).unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].get("model").and_then(Json::as_str), Some("SP"));
         assert!(results[0].get("cycles").and_then(Json::as_u64).unwrap() > 0);
-        let (response, hit) =
-            handle_simulate(&cache, &body, far_deadline(), &FaultPlan::inert(), None).unwrap();
+        let (response, hit) = simulate_with(&cache, &body, &FaultPlan::inert(), None).unwrap();
         assert!(hit);
         assert_eq!(response.get("cache").and_then(Json::as_str), Some("hit"));
     }
@@ -1295,8 +1349,7 @@ mod tests {
         let cache = PreparedCache::new(8, 2);
         let body =
             parse(r#"{"workload":"compress","scale":"tiny","model":"DEE-CD-MF","et":32}"#).unwrap();
-        let (response, _) =
-            handle_simulate(&cache, &body, far_deadline(), &FaultPlan::inert(), None).unwrap();
+        let (response, _) = simulate_with(&cache, &body, &FaultPlan::inert(), None).unwrap();
 
         let w = dee_workloads::compress::build(Scale::Tiny);
         let trace = w.capture_trace().unwrap();
@@ -1315,8 +1368,7 @@ mod tests {
         let body =
             parse(r#"{"program":"lw r1, 0(zero)\nout r1\nhalt\n","memory":[42],"model":"oracle"}"#)
                 .unwrap();
-        let (response, _) =
-            handle_simulate(&cache, &body, far_deadline(), &FaultPlan::inert(), None).unwrap();
+        let (response, _) = simulate_with(&cache, &body, &FaultPlan::inert(), None).unwrap();
         let results = response.get("results").and_then(Json::as_arr).unwrap();
         assert_eq!(
             results[0].get("model").and_then(Json::as_str),
@@ -1337,22 +1389,22 @@ mod tests {
         .unwrap();
         let c = parse(r#"{"program":"lw r1, 0(zero)\nout r1\nhalt\n","memory":[1],"model":"SP","et":4,"predictor":"gshare"}"#).unwrap();
         assert!(
-            !handle_simulate(&cache, &a, far_deadline(), &FaultPlan::inert(), None)
+            !simulate_with(&cache, &a, &FaultPlan::inert(), None)
                 .unwrap()
                 .1
         );
         assert!(
-            !handle_simulate(&cache, &b, far_deadline(), &FaultPlan::inert(), None)
+            !simulate_with(&cache, &b, &FaultPlan::inert(), None)
                 .unwrap()
                 .1
         );
         assert!(
-            !handle_simulate(&cache, &c, far_deadline(), &FaultPlan::inert(), None)
+            !simulate_with(&cache, &c, &FaultPlan::inert(), None)
                 .unwrap()
                 .1
         );
         assert!(
-            handle_simulate(&cache, &a, far_deadline(), &FaultPlan::inert(), None)
+            simulate_with(&cache, &a, &FaultPlan::inert(), None)
                 .unwrap()
                 .1
         );
@@ -1375,14 +1427,8 @@ mod tests {
             (r#"{"workload":"xlisp","et":0}"#, "at least 1"),
             (r#"{"program":"not an opcode\n"}"#, "program:"),
         ] {
-            let err = handle_simulate(
-                &cache,
-                &parse(body).unwrap(),
-                far_deadline(),
-                &FaultPlan::inert(),
-                None,
-            )
-            .unwrap_err();
+            let err = simulate_with(&cache, &parse(body).unwrap(), &FaultPlan::inert(), None)
+                .unwrap_err();
             assert_eq!(err.status, 400, "{body}");
             assert!(err.message.contains(needle), "{body}: {}", err.message);
         }
@@ -1398,6 +1444,7 @@ mod tests {
             Instant::now() - std::time::Duration::from_secs(1),
             &FaultPlan::inert(),
             None,
+            &Metrics::new(),
         )
         .unwrap_err();
         assert_eq!(err.status, 504);
@@ -1440,8 +1487,7 @@ mod tests {
         assert!(err.message.contains("too large"), "{}", err.message);
         let cache = PreparedCache::new(8, 2);
         let body = parse(r#"{"workload":"xlisp","et":4000000000}"#).unwrap();
-        let err =
-            handle_simulate(&cache, &body, far_deadline(), &FaultPlan::inert(), None).unwrap_err();
+        let err = simulate_with(&cache, &body, &FaultPlan::inert(), None).unwrap_err();
         assert_eq!(err.status, 400);
     }
 
@@ -1451,8 +1497,7 @@ mod tests {
         // Parses fine, but reads r1 with no reaching definition anywhere:
         // the assembler accepts it, the analyzer proves it wrong.
         let body = parse(r#"{"program":"out r1\nhalt\n","model":"SP","et":4}"#).unwrap();
-        let err =
-            handle_simulate(&cache, &body, far_deadline(), &FaultPlan::inert(), None).unwrap_err();
+        let err = simulate_with(&cache, &body, &FaultPlan::inert(), None).unwrap_err();
         assert_eq!(err.status, 422, "{}", err.message);
         assert!(
             err.codes.iter().any(|c| c == "DEE-E003"),
@@ -1474,8 +1519,7 @@ mod tests {
         let body =
             parse(r#"{"program":"li r1, 1048576\nsw r1, 0(r1)\nhalt\n","model":"SP","et":4}"#)
                 .unwrap();
-        let err =
-            handle_simulate(&cache, &body, far_deadline(), &FaultPlan::inert(), None).unwrap_err();
+        let err = simulate_with(&cache, &body, &FaultPlan::inert(), None).unwrap_err();
         assert_eq!(err.status, 422, "{}", err.message);
         assert!(
             err.codes.iter().any(|c| c == "DEE-E011"),
@@ -1491,8 +1535,7 @@ mod tests {
             r#"{"program":"lw r1, 0(zero)\nout r1\nhalt\n","memory":[9],"model":"SP","et":4}"#,
         )
         .unwrap();
-        let (response, _) =
-            handle_simulate(&cache, &body, far_deadline(), &FaultPlan::inert(), None).unwrap();
+        let (response, _) = simulate_with(&cache, &body, &FaultPlan::inert(), None).unwrap();
         assert!(response.get("results").is_some());
     }
 
@@ -1508,7 +1551,7 @@ mod tests {
                 ..FaultSpec::default()
             },
         );
-        let err = handle_simulate(&cache, &body, far_deadline(), &plan, None).unwrap_err();
+        let err = simulate_with(&cache, &body, &plan, None).unwrap_err();
         assert_eq!(err.status, 422);
         assert!(err.message.contains("analyze_reject"), "{}", err.message);
         assert!(err.codes.is_empty());
@@ -1526,7 +1569,7 @@ mod tests {
                 ..FaultSpec::default()
             },
         );
-        let err = handle_simulate(&cache, &body, far_deadline(), &plan, None).unwrap_err();
+        let err = simulate_with(&cache, &body, &plan, None).unwrap_err();
         assert_eq!(err.status, 500);
         assert!(err.message.contains("cache_lookup"), "{}", err.message);
     }
@@ -1546,14 +1589,14 @@ mod tests {
                     },
                 )
                 .with_fuse(1);
-            let err = handle_simulate(&cache, &body, far_deadline(), &plan, None).unwrap_err();
+            let err = simulate_with(&cache, &body, &plan, None).unwrap_err();
             assert_eq!(err.status, 500, "{}", site.name());
             assert!(err.message.contains(site.name()), "{}", err.message);
             // The failed preparation must not leave a poisoned entry: the
             // fuse burned, so the retry prepares cleanly (a miss, then hits).
-            let (_, hit) = handle_simulate(&cache, &body, far_deadline(), &plan, None).unwrap();
+            let (_, hit) = simulate_with(&cache, &body, &plan, None).unwrap();
             assert!(!hit, "{}: failed insert must not be cached", site.name());
-            let (_, hit) = handle_simulate(&cache, &body, far_deadline(), &plan, None).unwrap();
+            let (_, hit) = simulate_with(&cache, &body, &plan, None).unwrap();
             assert!(hit, "{}", site.name());
             cache.clear();
         }
@@ -1669,13 +1712,18 @@ mod tests {
             parse(r#"{"workloads":["compress"],"models":["DEE-CD-MF"],"ets":[32]}"#).unwrap();
         let cells = parse_batch(&body).unwrap();
         assert_eq!(cells.len(), 1);
-        let (json, hit) =
-            run_batch_cell(&cache, &cells[0], far_deadline(), &FaultPlan::inert(), None);
+        let (json, hit) = run_batch_cell(
+            &cache,
+            &cells[0],
+            far_deadline(),
+            &FaultPlan::inert(),
+            None,
+            &Metrics::new(),
+        );
         assert_eq!(hit, Some(false), "first cell prepares");
         let single =
             parse(r#"{"workload":"compress","scale":"tiny","model":"DEE-CD-MF","et":32}"#).unwrap();
-        let (expected, _) =
-            handle_simulate(&cache, &single, far_deadline(), &FaultPlan::inert(), None).unwrap();
+        let (expected, _) = simulate_with(&cache, &single, &FaultPlan::inert(), None).unwrap();
         let want = &expected.get("results").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(
             json.get("result").unwrap().to_string(),
@@ -1683,8 +1731,14 @@ mod tests {
             "a batch cell is byte-identical to the single-shot endpoint"
         );
         assert_eq!(json.get("cache").and_then(Json::as_str), Some("miss"));
-        let (json, hit) =
-            run_batch_cell(&cache, &cells[0], far_deadline(), &FaultPlan::inert(), None);
+        let (json, hit) = run_batch_cell(
+            &cache,
+            &cells[0],
+            far_deadline(),
+            &FaultPlan::inert(),
+            None,
+            &Metrics::new(),
+        );
         assert_eq!(hit, Some(true), "second run hits the cache");
         assert_eq!(json.get("cache").and_then(Json::as_str), Some("hit"));
     }
@@ -1704,13 +1758,27 @@ mod tests {
                 },
             )
             .with_fuse(1);
-        let (json, hit) = run_batch_cell(&cache, &cells[0], far_deadline(), &plan, None);
+        let (json, hit) = run_batch_cell(
+            &cache,
+            &cells[0],
+            far_deadline(),
+            &plan,
+            None,
+            &Metrics::new(),
+        );
         assert_eq!(hit, None, "cell failed before the cache answered");
         let message = json.get("error").and_then(Json::as_str).unwrap();
         assert!(message.contains("trace_prepare"), "{message}");
         assert_eq!(json.get("workload").and_then(Json::as_str), Some("xlisp"));
         // The fuse burned; the same cell now runs clean.
-        let (json, hit) = run_batch_cell(&cache, &cells[0], far_deadline(), &plan, None);
+        let (json, hit) = run_batch_cell(
+            &cache,
+            &cells[0],
+            far_deadline(),
+            &plan,
+            None,
+            &Metrics::new(),
+        );
         assert_eq!(hit, Some(false));
         assert!(json.get("result").is_some());
     }
@@ -1725,14 +1793,7 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         let cache = PreparedCache::new(8, 2);
         let body = parse(r#"{"workload":"xlisp","scale":"tiny","model":"SP","et":8}"#).unwrap();
-        let (first, hit) = handle_simulate(
-            &cache,
-            &body,
-            far_deadline(),
-            &FaultPlan::inert(),
-            Some(&store),
-        )
-        .unwrap();
+        let (first, hit) = simulate_with(&cache, &body, &FaultPlan::inert(), Some(&store)).unwrap();
         assert!(!hit);
         assert_eq!(store.stats().misses.load(Ordering::Relaxed), 1);
         assert_eq!(store.stats().writes.load(Ordering::Relaxed), 1);
@@ -1740,22 +1801,15 @@ mod tests {
         // the raw trace from disk — visible only in the store counters,
         // never in the response (which must stay byte-identical).
         cache.clear();
-        let (second, hit) = handle_simulate(
-            &cache,
-            &body,
-            far_deadline(),
-            &FaultPlan::inert(),
-            Some(&store),
-        )
-        .unwrap();
+        let (second, hit) =
+            simulate_with(&cache, &body, &FaultPlan::inert(), Some(&store)).unwrap();
         assert!(!hit, "prepared cache was cleared");
         assert_eq!(second.get("cache").and_then(Json::as_str), Some("miss"));
         assert_eq!(store.stats().disk_hits.load(Ordering::Relaxed), 1);
         assert_eq!(second.to_string(), first.to_string());
         // And a store-less run produces the same bytes again.
         let fresh = PreparedCache::new(8, 2);
-        let (storeless, _) =
-            handle_simulate(&fresh, &body, far_deadline(), &FaultPlan::inert(), None).unwrap();
+        let (storeless, _) = simulate_with(&fresh, &body, &FaultPlan::inert(), None).unwrap();
         assert_eq!(storeless.to_string(), first.to_string());
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1778,8 +1832,7 @@ mod tests {
         let plan = FaultPlan::new(7)
             .arm(FaultSite::StoreRead, always)
             .arm(FaultSite::StoreWrite, always);
-        let (hostile, hit) =
-            handle_simulate(&cache, &body, far_deadline(), &plan, Some(&store)).unwrap();
+        let (hostile, hit) = simulate_with(&cache, &body, &plan, Some(&store)).unwrap();
         assert!(!hit);
         assert_eq!(
             store.stats().write_errors.load(Ordering::Relaxed),
@@ -1797,26 +1850,17 @@ mod tests {
         )));
         // Same bytes as a clean, store-less run: faults only degrade.
         let fresh = PreparedCache::new(8, 2);
-        let (clean, _) =
-            handle_simulate(&fresh, &body, far_deadline(), &FaultPlan::inert(), None).unwrap();
+        let (clean, _) = simulate_with(&fresh, &body, &FaultPlan::inert(), None).unwrap();
         assert_eq!(hostile.to_string(), clean.to_string());
         // Publish the trace cleanly; a tripped read then skips the disk
         // tier (a miss, not a disk hit) and re-traces to the same bytes.
         cache.clear();
-        handle_simulate(
-            &cache,
-            &body,
-            far_deadline(),
-            &FaultPlan::inert(),
-            Some(&store),
-        )
-        .unwrap();
+        simulate_with(&cache, &body, &FaultPlan::inert(), Some(&store)).unwrap();
         assert_eq!(store.stats().writes.load(Ordering::Relaxed), 1);
         cache.clear();
         let misses = store.stats().misses.load(Ordering::Relaxed);
         let read_plan = FaultPlan::new(7).arm(FaultSite::StoreRead, always);
-        let (skipped, hit) =
-            handle_simulate(&cache, &body, far_deadline(), &read_plan, Some(&store)).unwrap();
+        let (skipped, hit) = simulate_with(&cache, &body, &read_plan, Some(&store)).unwrap();
         assert!(!hit);
         assert_eq!(store.stats().disk_hits.load(Ordering::Relaxed), 0);
         assert_eq!(store.stats().misses.load(Ordering::Relaxed), misses + 1);
@@ -1840,7 +1884,7 @@ mod tests {
                 }
             }
         }
-        let key = artifact_key(source);
+        let key = artifact_key(source).expect("a registry workload has a key");
         Snapshot {
             trace_format_version: dee_vm::TRACE_FORMAT_VERSION,
             parent_digest: key.digest,
@@ -1878,8 +1922,7 @@ mod tests {
         let cache = PreparedCache::new(8, 2);
         let single =
             parse(r#"{"workload":"compress","scale":"tiny","model":"SP","et":8}"#).unwrap();
-        let (expected, _) =
-            handle_simulate(&cache, &single, far_deadline(), &FaultPlan::inert(), None).unwrap();
+        let (expected, _) = simulate_with(&cache, &single, &FaultPlan::inert(), None).unwrap();
         assert_eq!(
             response.get("results").unwrap().to_string(),
             expected.get("results").unwrap().to_string(),
@@ -1912,7 +1955,7 @@ mod tests {
         }
         let store = Store::open(&dir).unwrap();
         let source = compress_source();
-        let key = artifact_key(&source);
+        let key = artifact_key(&source).expect("a registry workload has a key");
         store
             .put_snapshot(
                 &dee_snap::snapshot_filename(&key, 200),
@@ -1920,6 +1963,7 @@ mod tests {
             )
             .unwrap();
 
+        let published = store_counters(&store);
         let body = range_body(500, 900);
         let cold_metrics = Metrics::new();
         let cold = handle_simulate_range(
@@ -1947,19 +1991,11 @@ mod tests {
         assert_eq!(warm_metrics.snap_seek_hits.load(Ordering::Relaxed), 1);
         assert_eq!(warm_metrics.snap_seek_misses.load(Ordering::Relaxed), 0);
         assert_eq!(warm_metrics.snap_decode_failures.load(Ordering::Relaxed), 0);
-        // The miss path published the artifact, so the next range
-        // request streams records from disk — and stays identical.
-        assert!(store.contains(&key));
-        let streamed = handle_simulate_range(
-            &body,
-            far_deadline(),
-            &FaultPlan::inert(),
-            Some(&store),
-            &Metrics::new(),
-        )
-        .unwrap();
-        assert_eq!(streamed.to_string(), cold.to_string());
-        assert!(store.stats().disk_hits.load(Ordering::Relaxed) >= 1);
+        // A range resumes the VM from the snapshot and never reads or
+        // writes a trace artifact: nothing is published, and no store
+        // counter moves past the snapshot's own publish.
+        assert!(!store.contains(&key));
+        assert_eq!(store_counters(&store), published);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1971,7 +2007,7 @@ mod tests {
         }
         let store = Store::open(&dir).unwrap();
         let source = compress_source();
-        let key = artifact_key(&source);
+        let key = artifact_key(&source).expect("a registry workload has a key");
         let mut bytes = snapshot_bytes_at(&source, 200);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -2020,7 +2056,7 @@ mod tests {
         }
         let store = Store::open(&dir).unwrap();
         let source = compress_source();
-        let key = artifact_key(&source);
+        let key = artifact_key(&source).expect("a registry workload has a key");
         store
             .put_snapshot(
                 &dee_snap::snapshot_filename(&key, 200),
@@ -2083,6 +2119,199 @@ mod tests {
         assert!(err.message.contains("past the end"), "{}", err.message);
     }
 
+    /// A fresh store under the temp directory, unique to this process.
+    fn scratch_store(tag: &str) -> (Store, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("dee_api_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        (Store::open(&dir).unwrap(), dir)
+    }
+
+    /// Every `dee_store_*` counter, in `StoreStats` field order.
+    fn store_counters(store: &Store) -> [u64; 8] {
+        let s = store.stats();
+        [
+            &s.disk_hits,
+            &s.misses,
+            &s.writes,
+            &s.write_errors,
+            &s.quarantined,
+            &s.bytes_written,
+            &s.replay_nanos,
+            &s.trace_nanos,
+        ]
+        .map(|c| c.load(Ordering::Relaxed))
+    }
+
+    /// Loads its address from memory word 0, then runs two loop trips:
+    /// records 0–5, then the load at record 6 faults when word 0 lies
+    /// outside the machine.
+    const LATE_FAULT: &str = r#""program":"lw r2, 0(zero)\nli r1, 2\ntop:\naddi r1, r1, -1\nbgt r1, zero, top\nlw r3, 0(r2)\nout r3\nhalt\n","memory":[1048576]"#;
+
+    fn late_fault_range(end: u64) -> Json {
+        parse(&format!(
+            r#"{{{LATE_FAULT},"model":"SP","et":4,"start":1,"end":{end}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_range_ending_before_a_fault_answers_and_one_reaching_it_fails() {
+        let (store, dir) = scratch_store("late_fault");
+        let range = |end: u64, store: Option<&Store>| {
+            handle_simulate_range(
+                &late_fault_range(end),
+                far_deadline(),
+                &FaultPlan::inert(),
+                store,
+                &Metrics::new(),
+            )
+        };
+        // Nothing past `end` runs, so the fault at record 6 is never met.
+        let storeless = range(6, None).unwrap();
+        assert_eq!(storeless.get("records").and_then(Json::as_u64), Some(5));
+        assert_eq!(
+            range(6, Some(&store)).unwrap().to_string(),
+            storeless.to_string()
+        );
+        // A range that reaches the fault fails as the capture does.
+        let body = parse(&format!(r#"{{{LATE_FAULT},"model":"SP","et":4}}"#)).unwrap();
+        let captured =
+            simulate_with(&PreparedCache::new(8, 2), &body, &FaultPlan::inert(), None).unwrap_err();
+        assert_eq!(captured.status, 500);
+        assert_eq!(
+            captured.message,
+            "trace: memory address 1048576 out of range at pc 4"
+        );
+        for store in [None, Some(&store)] {
+            assert_eq!(range(7, store).unwrap_err(), captured);
+        }
+        // Neither the capture nor the ranges touched the store.
+        assert_eq!(store_counters(&store), [0; 8]);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_range_ending_before_an_endless_loop_answers() {
+        // Never halts: a capture runs to the step limit, a range stops
+        // at its end.
+        let body = parse(
+            r#"{"program":"li r1, 0\ntop:\naddi r1, r1, 1\nbgt r1, zero, top\nhalt\n","model":"SP","et":4,"start":3,"end":40}"#,
+        )
+        .unwrap();
+        let response = handle_simulate_range(
+            &body,
+            far_deadline(),
+            &FaultPlan::inert(),
+            None,
+            &Metrics::new(),
+        )
+        .unwrap();
+        assert_eq!(response.get("records").and_then(Json::as_u64), Some(37));
+    }
+
+    #[test]
+    fn sealed_snapshots_that_cannot_resume_are_decode_failures() {
+        let source = compress_source();
+        let key = artifact_key(&source).expect("a registry workload has a key");
+        let full = Snapshot::decode(&snapshot_bytes_at(&source, 200), &source.memory).unwrap();
+        let mut short = full.clone();
+        short.machine.mem.truncate(dee_vm::DEFAULT_MEM_WORDS / 2);
+        // Would start the range at record 700 while named for record 200.
+        let mut ahead = full.clone();
+        ahead.machine.executed = 700;
+        let body = range_body(500, 900);
+        let clean = handle_simulate_range(
+            &body,
+            far_deadline(),
+            &FaultPlan::inert(),
+            None,
+            &Metrics::new(),
+        )
+        .unwrap();
+        // Sealed by `encode`, so only the decoder and the seek's checks
+        // refuse them.
+        for (tag, snap) in [("snapshort", short), ("snapahead", ahead)] {
+            let (store, dir) = scratch_store(tag);
+            store
+                .put_snapshot(
+                    &dee_snap::snapshot_filename(&key, 200),
+                    &snap.encode(&source.memory),
+                )
+                .unwrap();
+            let metrics = Metrics::new();
+            let hostile = handle_simulate_range(
+                &body,
+                far_deadline(),
+                &FaultPlan::inert(),
+                Some(&store),
+                &metrics,
+            )
+            .unwrap();
+            assert_eq!(hostile.to_string(), clean.to_string(), "{tag}");
+            assert_eq!(metrics.snap_decode_failures.load(Ordering::Relaxed), 1);
+            assert_eq!(metrics.snap_seek_misses.load(Ordering::Relaxed), 1);
+            assert_eq!(metrics.snap_seek_hits.load(Ordering::Relaxed), 0);
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    /// Publishes xlisp/tiny's trace with one record changed by `reseal`
+    /// through `Store::put`, so its checksums pass, then serves it: the
+    /// artifact must be quarantined and the trace recaptured, with the
+    /// store-less body.
+    fn resealed_trace_is_quarantined(tag: &str, reseal: impl Fn(&mut TraceRecord) -> bool) {
+        let (store, dir) = scratch_store(tag);
+        let body = parse(r#"{"workload":"xlisp","scale":"tiny","model":"SP","et":8}"#).unwrap();
+        let source = resolve_source(&body, &FaultPlan::inert()).unwrap();
+        let key = artifact_key(&source).expect("a registry workload has a key");
+        let trace =
+            trace_program_with(Engine::Decoded, &source.program, &source.memory, STEP_LIMIT)
+                .unwrap();
+        let mut records = trace.records().to_vec();
+        assert!(records.iter_mut().any(reseal), "no record to reseal");
+        store
+            .put(&key, &Trace::from_parts(records, trace.output().to_vec()))
+            .unwrap();
+        let (served, _) = simulate_with(
+            &PreparedCache::new(8, 2),
+            &body,
+            &FaultPlan::inert(),
+            Some(&store),
+        )
+        .unwrap();
+        let (storeless, _) =
+            simulate_with(&PreparedCache::new(8, 2), &body, &FaultPlan::inert(), None).unwrap();
+        assert_eq!(served.to_string(), storeless.to_string());
+        let stats = store.stats();
+        assert_eq!(stats.quarantined.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.disk_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            stats.writes.load(Ordering::Relaxed),
+            2,
+            "recaptured and republished"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_resealed_address_past_memory_is_quarantined() {
+        resealed_trace_is_quarantined("reseal_addr", |record| {
+            let hit = record.mem_read.is_some();
+            if hit {
+                record.mem_read = Some(0xFFFF_FFF0);
+            }
+            hit
+        });
+    }
+
+    #[test]
+    fn a_resealed_pc_past_the_program_is_quarantined() {
+        resealed_trace_is_quarantined("reseal_pc", |record| {
+            record.pc = 0x00FF_FFFF;
+            true
+        });
+    }
+
     fn debug_request(target: &str) -> crate::http::Request {
         crate::http::Request {
             method: "GET".into(),
@@ -2100,7 +2329,7 @@ mod tests {
         }
         let store = Store::open(&dir).unwrap();
         let source = compress_source();
-        let key = artifact_key(&source);
+        let key = artifact_key(&source).expect("a registry workload has a key");
         store
             .put_snapshot(
                 &dee_snap::snapshot_filename(&key, 300),

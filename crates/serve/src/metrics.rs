@@ -145,6 +145,15 @@ pub struct Metrics {
     pub phase_parse: Histogram,
     /// `serve.render`: rendering an API response to its JSON text.
     pub phase_render: Histogram,
+    /// `serve.lookup`: resolving a `/simulate` request's or `/batch`
+    /// cell's source and finding its prepared trace in the cache.
+    pub phase_lookup: Histogram,
+    /// `serve.miss`: the same when the cache misses, so it also captures
+    /// (or replays from the disk tier) and prepares the trace.
+    pub phase_miss: Histogram,
+    /// `ilpsim.simulate`: running a request's models over its prepared
+    /// trace (`/simulate`, `/simulate_range`, or one `/batch` cell).
+    pub phase_simulate: Histogram,
     started: Instant,
 }
 
@@ -179,6 +188,9 @@ impl Metrics {
             phase_queue_wait: Histogram::new(),
             phase_parse: Histogram::new(),
             phase_render: Histogram::new(),
+            phase_lookup: Histogram::new(),
+            phase_miss: Histogram::new(),
+            phase_simulate: Histogram::new(),
             started: Instant::now(),
         }
     }
@@ -332,6 +344,9 @@ impl Metrics {
             ("serve.queue_wait", &self.phase_queue_wait),
             ("serve.parse", &self.phase_parse),
             ("serve.render", &self.phase_render),
+            ("serve.lookup", &self.phase_lookup),
+            ("serve.miss", &self.phase_miss),
+            ("ilpsim.simulate", &self.phase_simulate),
         ] {
             let label = format!("phase=\"{phase}\"");
             histogram.render(&mut out, "dee_phase_us", &label);
@@ -416,6 +431,9 @@ mod tests {
             (r#"_count{phase="serve.parse"}"#, 2),
             (r#"_bucket{phase="serve.render",le="+Inf"}"#, 0),
             (r#"_count{phase="serve.render"}"#, 0),
+            (r#"_count{phase="serve.lookup"}"#, 0),
+            (r#"_count{phase="serve.miss"}"#, 0),
+            (r#"_count{phase="ilpsim.simulate"}"#, 0),
         ] {
             let line = format!("dee_phase_us{series} {value}\n");
             assert!(text.contains(&line), "missing {line:?} in\n{text}");

@@ -747,6 +747,7 @@ fn handle_api(
             deadline,
             &shared.faults,
             shared.store.as_deref(),
+            &shared.metrics,
         )
         .map(|(json, hit)| {
             let counter = if hit {
@@ -897,6 +898,7 @@ fn batch_drain(shared: &Shared, state: &BatchState) {
                 state.deadline,
                 &shared.faults,
                 shared.store.as_deref(),
+                &shared.metrics,
             )
         })) {
             Ok(done) => done,

@@ -431,11 +431,13 @@ impl Snapshot {
             output.push(cur.i32()?);
         }
         let mem_words = cur.counted("memory")?;
-        // Every snapshot is cut from a `Machine::new()`, so a larger image
-        // is corrupt, and refusing it bounds the image built below.
-        if mem_words > DEFAULT_MEM_WORDS {
+        // Every snapshot is cut from a `Machine::new()`, and a restore
+        // runs the VM on this image, so any other size is corrupt: a short
+        // image would fault where a from-zero run does not. Refusing a
+        // larger one also bounds the image built below.
+        if mem_words != DEFAULT_MEM_WORDS {
             return Err(format!(
-                "snapshot memory of {mem_words} words exceeds the machine's {DEFAULT_MEM_WORDS}"
+                "snapshot memory of {mem_words} words is not the machine's {DEFAULT_MEM_WORDS}"
             ));
         }
         let dirty = cur.counted("memory-dirty")?;
@@ -668,8 +670,7 @@ mod tests {
             prng_streams: vec![],
         };
         let decoded = Snapshot::decode(&snap.encode(&initial), &initial).expect("decodes");
-        let mut resumed = Machine::new();
-        resumed.restore_state(&decoded.machine);
+        let mut resumed = Machine::from_state(decoded.machine);
         loop {
             let (outcome, record) = resumed.step(&program).unwrap();
             records.push(record);
@@ -782,6 +783,24 @@ mod tests {
             match Snapshot::decode(&bad, &initial) {
                 Ok(_) => panic!("{named}: a resealed count of {value} decoded"),
                 Err(err) => assert!(err.contains(named), "{named}: {err}"),
+            }
+        }
+    }
+
+    #[test]
+    fn memory_images_of_another_size_are_refused() {
+        // A sealed snapshot whose image is not the machine's memory: a
+        // restore would run the VM on it, so a short image could fault
+        // where a from-zero run does not.
+        let initial = vec![1, 2, 3];
+        for words in [0, 64, DEFAULT_MEM_WORDS - 1, DEFAULT_MEM_WORDS + 1] {
+            let mut snap = mid_run_snapshot(&initial);
+            snap.machine.mem.resize(words, 0);
+            let bytes = snap.encode(&initial);
+            assert!(verify_snapshot_bytes(&bytes).is_ok(), "{words}: not sealed");
+            match Snapshot::decode(&bytes, &initial) {
+                Ok(_) => panic!("a {words}-word image decoded"),
+                Err(err) => assert!(err.contains("memory"), "{words}: {err}"),
             }
         }
     }

@@ -8,6 +8,9 @@
 //! frames. This test publishes seeded random trace lengths (the last
 //! reaches past the first 256 KiB frame) plus the degenerate empty trace,
 //! and checks that a drained reader verifies the footer.
+//! `DEE_CHAOS_SEED`, when set, is mixed into the length stream, and
+//! `DEE_CHAOS_ITERS` (default 100) scales how many seeded lengths run:
+//! 100 runs the pinned six, 300 eighteen.
 //!
 //! [`StoreReader::next_record`]: dee_store::StoreReader::next_record
 
@@ -15,7 +18,7 @@ use std::io;
 use std::path::PathBuf;
 
 use dee_isa::{Assembler, Reg};
-use dee_rng::Rng;
+use dee_rng::{env_u64, Rng};
 use dee_store::{ArtifactKey, Store, StoreReader};
 use dee_vm::{Trace, TraceRecord};
 
@@ -67,11 +70,12 @@ fn open(store: &Store, key: &ArtifactKey) -> StoreReader {
 #[test]
 fn replay_is_byte_identical_at_every_frame_alignment() {
     let (store, dir) = scratch_store("fuzz");
-    let mut rng = Rng::new(0xdee5_eed5);
+    let mut rng = Rng::new(0xdee5_eed5 ^ env_u64("DEE_CHAOS_SEED", 0));
+    let seeded = (6 * env_u64("DEE_CHAOS_ITERS", 100) / 100).max(1);
     // Seeded lengths put the last record and the output stream at varied
     // offsets within a frame; 4093 trips (16 375 records, 327 500 bytes)
     // cross the first 256 KiB frame boundary.
-    let mut lengths: Vec<i32> = (0..6).map(|_| 1 + rng.below(2_500) as i32).collect();
+    let mut lengths: Vec<i32> = (0..seeded).map(|_| 1 + rng.below(2_500) as i32).collect();
     lengths.push(4093);
     for n in lengths {
         let (trace, key) = looped_trace(n);

@@ -10,15 +10,29 @@
 //! so there the contract is only "typed error or valid trace".
 //!
 //! All mutations come from a seeded `dee-rng` stream, so a failure
-//! reproduces exactly.
+//! reproduces exactly. `DEE_CHAOS_SEED` is mixed into each test's own
+//! stream (unset, each test keeps its pinned stream), and
+//! `DEE_CHAOS_ITERS` (default 100) scales every round count in
+//! proportion: 100 runs each test's own count, 300 three times as many.
 
 use std::io::Cursor;
 use std::path::PathBuf;
 
-use dee_rng::Rng;
+use dee_rng::{env_u64, Rng};
 use dee_store::{verify_file, ContainerWriter, VerifyReport};
 use dee_vm::{Trace, TRACE_FORMAT_VERSION};
 use dee_workloads::Scale;
+
+/// The stream a test draws from: its pinned `state`, with
+/// `DEE_CHAOS_SEED` mixed in when set.
+fn stream(state: u64) -> Rng {
+    Rng::from_state(state ^ env_u64("DEE_CHAOS_SEED", 0).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// A test's `base` round count scaled by `DEE_CHAOS_ITERS` percent.
+fn rounds(base: u64) -> u64 {
+    (base * env_u64("DEE_CHAOS_ITERS", 100) / 100).max(1)
+}
 
 fn baseline_trace() -> Trace {
     dee_workloads::eqntott::build(Scale::Tiny)
@@ -59,9 +73,10 @@ fn mutated_containers_fail_typed_or_read_back_identical() {
     let baseline = verify_bytes(&path, &pristine).expect("pristine container verifies");
     assert_eq!(baseline.records, trace.len() as u64);
 
-    let mut rng = Rng::from_state(0xDEE5_70FE);
-    let mut survivors = 0u32;
-    for round in 0..300 {
+    let mut rng = stream(0xDEE5_70FE);
+    let total = rounds(300);
+    let mut survivors = 0u64;
+    for round in 0..total {
         let mut bytes = pristine.clone();
         // 1–4 independent byte corruptions per round: bit flips, byte
         // swaps with random values, and zeroing.
@@ -87,8 +102,8 @@ fn mutated_containers_fail_typed_or_read_back_identical() {
     }
     // Don't-care bytes (header padding) are rare; most rounds must fail.
     assert!(
-        survivors < 30,
-        "{survivors}/300 mutations went undetected — checksum coverage regressed"
+        survivors < total.div_ceil(10),
+        "{survivors}/{total} mutations went undetected — checksum coverage regressed"
     );
     std::fs::remove_file(&path).ok();
 }
@@ -98,10 +113,10 @@ fn truncated_containers_always_fail_typed() {
     let trace = baseline_trace();
     let pristine = container_bytes(&trace);
     let path = scratch_file("truncate");
-    let mut rng = Rng::from_state(0x7A_BCDE);
+    let mut rng = stream(0x7A_BCDE);
     // Every structural boundary plus a seeded sample of interior cuts.
     let mut cuts = vec![0, 1, 7, 8, 23, 24, pristine.len() - 1];
-    for _ in 0..80 {
+    for _ in 0..rounds(80) {
         cuts.push(rng.below(pristine.len()));
     }
     for cut in cuts {
@@ -119,8 +134,8 @@ fn truncated_containers_always_fail_typed() {
 fn mutated_bare_traces_never_panic() {
     let trace = baseline_trace();
     let pristine = bare_bytes(&trace);
-    let mut rng = Rng::from_state(0x0BAD_5EED);
-    for _ in 0..500 {
+    let mut rng = stream(0x0BAD_5EED);
+    for _ in 0..rounds(500) {
         let mut bytes = pristine.clone();
         for _ in 0..=rng.below(4) {
             let at = rng.below(bytes.len());
@@ -141,9 +156,9 @@ fn mutated_bare_traces_never_panic() {
 fn truncated_bare_traces_always_fail_typed() {
     let trace = baseline_trace();
     let pristine = bare_bytes(&trace);
-    let mut rng = Rng::from_state(0xC0FFEE);
+    let mut rng = stream(0xC0FFEE);
     let mut cuts = vec![0, 1, 7, 8, 15, 16, pristine.len() - 1];
-    for _ in 0..120 {
+    for _ in 0..rounds(120) {
         cuts.push(rng.below(pristine.len()));
     }
     for cut in cuts {
@@ -159,7 +174,7 @@ fn truncated_bare_traces_always_fail_typed() {
 fn garbage_and_cross_format_bytes_fail_typed() {
     let trace = baseline_trace();
     let path = scratch_file("garbage");
-    let mut rng = Rng::from_state(0x6A2BA6E);
+    let mut rng = stream(0x6A2BA6E);
     for len in [0usize, 1, 8, 24, 63, 1024] {
         let junk: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         assert!(verify_bytes(&path, &junk).is_err(), "{len} junk bytes");

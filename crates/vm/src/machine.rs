@@ -275,20 +275,24 @@ impl Machine {
         }
     }
 
-    /// Restores state captured by [`snapshot_state`](Self::snapshot_state).
+    /// Builds a machine from state captured by
+    /// [`snapshot_state`](Self::snapshot_state), taking its memory image
+    /// and output stream by value rather than copying them. The memory is
+    /// `state.mem.len()` words.
     ///
-    /// Stepping after a restore is bit-identical to the uninterrupted run
-    /// the state was captured from (same records, output, and faults).
-    pub fn restore_state(&mut self, state: &MachineState) {
-        self.regs = state.regs;
-        self.mem.clear();
-        self.mem.extend_from_slice(&state.mem);
-        self.pc = state.pc;
-        self.halted = state.halted;
-        self.depth = state.depth;
-        self.executed = state.executed;
-        self.output.clear();
-        self.output.extend_from_slice(&state.output);
+    /// Stepping the result is bit-identical to the uninterrupted run the
+    /// state was captured from (same records, output, and faults).
+    #[must_use]
+    pub fn from_state(state: MachineState) -> Self {
+        Machine {
+            regs: state.regs,
+            mem: state.mem,
+            pc: state.pc,
+            halted: state.halted,
+            depth: state.depth,
+            executed: state.executed,
+            output: state.output,
+        }
     }
 
     fn effective_addr(&self, pc: u32, base: Reg, offset: i32) -> Result<u32, VmError> {
@@ -642,7 +646,7 @@ mod tests {
         }
         let state = m.snapshot_state();
         m.run(&p, 10_000).unwrap(); // run the original to completion
-        m.restore_state(&state);
+        let mut m = Machine::from_state(state.clone());
         assert_eq!(m.snapshot_state(), state);
         loop {
             let (outcome, rec) = m.step(&p).unwrap();

@@ -25,6 +25,7 @@ use std::io::{self, Read, Write};
 
 use dee_isa::Reg;
 
+use crate::machine::DEFAULT_MEM_WORDS;
 use crate::trace::{BranchOutcome, Trace, TraceRecord};
 
 const MAGIC: &[u8; 8] = b"DEETRC1\0";
@@ -68,6 +69,11 @@ fn byte_reg(byte: u8, what: &str) -> io::Result<Option<Reg>> {
 }
 
 /// Decodes one 20-byte record. Shared by the eager and streaming readers.
+///
+/// A memory access at or past [`DEFAULT_MEM_WORDS`] is refused: every
+/// machine that captures a trace has that memory, and the simulators size
+/// their memory tables by the largest address, so a resealed address
+/// near `u32::MAX` would otherwise cost gigabytes.
 fn decode_record(buffer: &[u8; RECORD_BYTES]) -> io::Result<TraceRecord> {
     let flags = buffer[7];
     if flags & !FLAG_KNOWN != 0 {
@@ -77,6 +83,12 @@ fn decode_record(buffer: &[u8; RECORD_BYTES]) -> io::Result<TraceRecord> {
         ));
     }
     let mem = u32::from_le_bytes(buffer[8..12].try_into().expect("4 bytes"));
+    if flags & (FLAG_MEM_READ | FLAG_MEM_WRITE) != 0 && mem as usize >= DEFAULT_MEM_WORDS {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("memory address {mem} past the machine's {DEFAULT_MEM_WORDS} words"),
+        ));
+    }
     let branch = if flags & FLAG_BRANCH != 0 {
         Some(BranchOutcome {
             taken: flags & FLAG_TAKEN != 0,
@@ -479,6 +491,40 @@ mod tests {
         let err = Trace::read_from(bytes.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("src0"));
+    }
+
+    #[test]
+    fn memory_address_past_the_machine_rejected() {
+        // A one-record stream whose memory word is `addr` under `flags`:
+        // only an access the flags declare is bounded.
+        let stream = |addr: u32, flags: u8| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(MAGIC);
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            let mut record = [0u8; RECORD_BYTES];
+            record[4] = NO_REG;
+            record[5] = NO_REG;
+            record[6] = NO_REG;
+            record[7] = flags;
+            record[8..12].copy_from_slice(&addr.to_le_bytes());
+            bytes.extend_from_slice(&record);
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            Trace::read_from(bytes.as_slice())
+        };
+        let top = DEFAULT_MEM_WORDS as u32;
+        for flags in [FLAG_MEM_READ, FLAG_MEM_WRITE] {
+            for addr in [top, 0xFFFF_FFF0] {
+                let err = stream(addr, flags).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains("memory address"), "{err}");
+            }
+            let last = stream(top - 1, flags).unwrap();
+            assert_eq!(
+                last.records()[0].mem_read.or(last.records()[0].mem_write),
+                Some(top - 1)
+            );
+        }
+        assert!(stream(0xFFFF_FFF0, 0).is_ok(), "no access, no bound");
     }
 
     #[test]

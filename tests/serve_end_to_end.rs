@@ -287,6 +287,33 @@ fn phase_histograms_count_one_observation_per_request() {
 }
 
 #[test]
+fn simulate_times_its_lookup_or_miss_and_its_models_once_per_request() {
+    let server = spawn(2);
+    let addr = server.addr();
+    let body = r#"{"workload":"xlisp","scale":"tiny","model":"SP","et":8}"#;
+    for cache in ["miss", "hit"] {
+        let (status, response) = post(addr, "/simulate", body);
+        assert_eq!(status, 200, "{response}");
+        assert!(
+            response.contains(&format!(r#""cache":"{cache}""#)),
+            "{response}"
+        );
+    }
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    let count = |phase: &str| {
+        scrape(
+            &metrics,
+            &format!("dee_phase_us_count{{phase=\"{phase}\"}}"),
+        )
+    };
+    assert_eq!(count("serve.miss"), 1, "{metrics}");
+    assert_eq!(count("serve.lookup"), 1, "{metrics}");
+    assert_eq!(count("ilpsim.simulate"), 2, "{metrics}");
+    server.shutdown();
+}
+
+#[test]
 fn saturated_queue_sheds_load_with_503() {
     // No workers: accepted jobs stay queued, so with capacity 1 the second
     // concurrent request must be refused with 503 before queueing.

@@ -13,7 +13,7 @@ mod support;
 use std::path::{Path, PathBuf};
 
 use dee::serve::{Server, ServerConfig};
-use support::{post, scrape_at};
+use support::{get, post, scrape_at};
 
 fn spawn_with_store(dir: &Path) -> Server {
     Server::spawn(ServerConfig {
@@ -117,6 +117,61 @@ fn corrupt_artifact_is_quarantined_and_request_succeeds_anyway() {
         "quarantine directory is empty"
     );
     server.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// An upload's trace is captured on every miss and never published:
+/// with a store configured, the server writes nothing to it, moves no
+/// `dee_store_*` counter and answers byte-identically to a store-less
+/// server, for `/simulate` and `/simulate_range` alike.
+#[test]
+fn uploads_leave_the_store_untouched() {
+    let dir = scratch_dir("upload");
+    let stored = spawn_with_store(&dir);
+    let storeless = Server::spawn(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind on port 0");
+    let program = r#""program":"lw r1, 0(zero)\nli r2, 40\ntop:\naddi r2, r2, -1\nbgt r2, zero, top\nout r1\nhalt\n","memory":[5]"#;
+    for (path, body) in [
+        (
+            "/simulate",
+            format!(r#"{{{program},"model":"DEE-CD-MF","et":16}}"#),
+        ),
+        (
+            "/simulate_range",
+            format!(r#"{{{program},"model":"SP","et":8,"start":10,"end":50}}"#),
+        ),
+    ] {
+        let (status, want) = post(storeless.addr(), path, &body);
+        assert_eq!(status, 200, "{want}");
+        assert_eq!(post(stored.addr(), path, &body), (200, want), "{path}");
+    }
+    let (status, metrics) = get(stored.addr(), "/metrics");
+    assert_eq!(status, 200);
+    let store_lines: Vec<&str> = metrics
+        .lines()
+        .filter(|l| l.starts_with("dee_store_"))
+        .collect();
+    assert!(store_lines.len() >= 8, "{metrics}");
+    assert!(
+        store_lines.iter().all(|l| l.ends_with(" 0")),
+        "store counters moved: {store_lines:?}"
+    );
+    // An upload has no artifact key, so its range never seeks a snapshot.
+    assert_eq!(scrape_at(stored.addr(), "dee_snap_seek_misses_total"), 0);
+    for sub in [dir.clone(), dir.join("tmp")] {
+        let files: Vec<_> = std::fs::read_dir(&sub)
+            .expect("store dir exists")
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.is_file())
+            .collect();
+        assert!(files.is_empty(), "upload left files: {files:?}");
+    }
+    stored.shutdown();
+    storeless.shutdown();
     std::fs::remove_dir_all(dir).ok();
 }
 
