@@ -167,19 +167,41 @@ struct Source {
     registry: Option<(String, String)>,
 }
 
+/// A registry workload's lower-case `(name, scale)` tags.
+fn registry_tags(name: &str, scale: Scale) -> (String, String) {
+    (
+        name.to_ascii_lowercase(),
+        format!("{scale:?}").to_ascii_lowercase(),
+    )
+}
+
 /// A registry workload as a request source.
 fn workload_source(name: &str, scale: Scale) -> Result<Source, ApiError> {
     let workload = workload_by_name(name, scale)?;
-    let (name, scale) = (
-        name.to_ascii_lowercase(),
-        format!("{scale:?}").to_ascii_lowercase(),
-    );
+    let (name, scale) = registry_tags(name, scale);
     Ok(Source {
         label: format!("{name}/{scale}"),
         program: workload.program,
         memory: workload.initial_memory,
         registry: Some((name, scale)),
     })
+}
+
+/// What a request names: a registry workload, checked but not yet built,
+/// or an upload, parsed and linted.
+enum Named<'a> {
+    Workload(&'a str, Scale),
+    Upload(Source),
+}
+
+impl Named<'_> {
+    /// The source, building a registry workload.
+    fn into_source(self) -> Result<Source, ApiError> {
+        match self {
+            Named::Workload(name, scale) => workload_source(name, scale),
+            Named::Upload(source) => Ok(source),
+        }
+    }
 }
 
 /// Resolves the program + memory a request simulates. This is the single
@@ -190,6 +212,13 @@ fn workload_source(name: &str, scale: Scale) -> Result<Source, ApiError> {
 /// geometry and step budgets — stay where they are; everything about the
 /// *program text* is decided here, once.
 fn resolve_source(body: &Json, faults: &FaultPlan) -> Result<Source, ApiError> {
+    resolve_named(body, faults)?.into_source()
+}
+
+/// [`resolve_source`] up to building a registry workload, which a
+/// prepared-cache hit never needs: every `400` it answers is decided
+/// here, before the cache is asked.
+fn resolve_named<'a>(body: &'a Json, faults: &FaultPlan) -> Result<Named<'a>, ApiError> {
     // The fault site guards the whole gate, so hostile plans exercise the
     // 422 path even when the storm traffic is workload-only.
     if faults.trip(FaultSite::AnalyzeReject).is_some() {
@@ -212,7 +241,10 @@ fn resolve_source(body: &Json, faults: &FaultPlan) -> Result<Source, ApiError> {
             // Shipped workloads are proven lint-clean by the bench gate
             // and `workloads_clean` tests; re-analyzing them per request
             // would only burn worker time.
-            workload_source(name, scale)
+            if !dee_workloads::WorkloadRegistry::builtin().contains(name) {
+                return Err(ApiError::bad_request(format!("unknown workload `{name}`")));
+            }
+            Ok(Named::Workload(name, scale))
         }
         (None, Some(source_text)) => {
             let program = parse_program(source_text)
@@ -251,12 +283,12 @@ fn resolve_source(body: &Json, faults: &FaultPlan) -> Result<Source, ApiError> {
                 Some(_) => return Err(ApiError::bad_request("`memory` must be an array")),
             };
             let label = format!("program:{:016x}", fnv1a(source_text.as_bytes()));
-            Ok(Source {
+            Ok(Named::Upload(Source {
                 program,
                 memory,
                 label,
                 registry: None,
-            })
+            }))
         }
         (None, None) => Err(ApiError::bad_request("missing `workload` or `program`")),
     }
@@ -421,7 +453,9 @@ fn prepare_streamed(
 
 /// Fetches (or prepares and caches) the prepared trace for a request.
 ///
-/// On a prepared-cache miss for a registry workload with a store
+/// A registry workload is keyed by its name, scale and predictor, and is
+/// built only on a miss; an upload is keyed by its listing and memory
+/// image. On a prepared-cache miss for a registry workload with a store
 /// configured, the raw trace is replayed from the disk tier when an
 /// intact artifact exists (and recorded to it otherwise); the predictor
 /// replay still runs either way. An upload's miss always captures. The
@@ -440,24 +474,39 @@ pub fn prepared_for(
     faults: &FaultPlan,
     store: Option<&Store>,
 ) -> Result<(Arc<PreparedEntry>, bool, String), ApiError> {
-    let source = resolve_source(body, faults)?;
+    let named = resolve_named(body, faults)?;
     let predictor_name = str_field(body, "predictor").unwrap_or("twobit");
     // Validate the predictor name before the (expensive) miss path.
     predictor_by_name(predictor_name)?;
     if faults.trip(FaultSite::CacheLookup).is_some() {
         return Err(ApiError::internal("injected fault: cache_lookup"));
     }
-    let key = CacheKey {
-        program: fnv1a(source.program.to_listing().as_bytes()),
-        memory: fnv1a_words(&source.memory),
-        predictor: fnv1a(predictor_name.as_bytes()),
+    let predictor = predictor_name.to_string();
+    let (key, label) = match &named {
+        Named::Workload(name, scale) => {
+            let (tag, scale_tag) = registry_tags(name, *scale);
+            let key = CacheKey::Registry {
+                workload: (*name).to_string(),
+                scale: *scale,
+                predictor,
+            };
+            (key, format!("{tag}/{scale_tag}"))
+        }
+        Named::Upload(source) => {
+            let key = CacheKey::Upload {
+                program: fnv1a(source.program.to_listing().as_bytes()),
+                memory: fnv1a_words(&source.memory),
+                predictor,
+            };
+            (key, source.label.clone())
+        }
     };
-    let label = source.label.clone();
     let (entry, hit) = cache
         .get_or_insert_with(key, move || {
             if faults.trip(FaultSite::TracePrepare).is_some() {
                 return Err("injected fault: trace_prepare".to_string());
             }
+            let source = named.into_source().map_err(|e| e.message)?;
             let prepared = prepare_streamed(&source, predictor_name, faults, store)?;
             if faults.trip(FaultSite::CacheInsert).is_some() {
                 return Err("injected fault: cache_insert".to_string());
@@ -1278,7 +1327,7 @@ pub fn handle_debug_at(
     metrics
         .snap_replay_nanos
         .fetch_add(replay_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    let state = machine.snapshot_state();
+    let state = machine.into_state();
     Ok(Json::obj(vec![
         ("source", Json::str(source.label)),
         ("record", Json::from(record)),
@@ -1432,6 +1481,51 @@ mod tests {
             assert_eq!(err.status, 400, "{body}");
             assert!(err.message.contains(needle), "{body}: {}", err.message);
         }
+    }
+
+    #[test]
+    fn a_warm_registry_entry_answers_every_400_a_cold_one_does() {
+        let cache = PreparedCache::new(8, 2);
+        let simulate =
+            |body: &str| simulate_with(&cache, &parse(body).unwrap(), &FaultPlan::inert(), None);
+        let warm = r#"{"workload":"xlisp","model":"SP","et":8}"#;
+        assert!(!simulate(warm).unwrap().1);
+        assert!(simulate(warm).unwrap().1);
+        for (body, needle) in [
+            (r#"{"workload":"warp9"}"#, "unknown workload `warp9`"),
+            (r#"{"workload":"XLISP"}"#, "unknown workload `XLISP`"),
+            (r#"{"workload":"xlisp","scale":"huge"}"#, "unknown scale"),
+            (r#"{"workload":"xlisp","memory":[1]}"#, "only applies"),
+            (r#"{"workload":"xlisp","predictor":"x"}"#, "predictor `x`"),
+        ] {
+            let err = simulate(body).unwrap_err();
+            assert_eq!(err.status, 400, "{body}");
+            assert!(err.message.contains(needle), "{body}: {}", err.message);
+        }
+        assert_eq!(cache.len(), 1, "a refused request caches nothing");
+    }
+
+    #[test]
+    fn an_upload_never_shares_a_registry_entry() {
+        let cache = PreparedCache::new(8, 2);
+        let simulate = |body: &Json| simulate_with(&cache, body, &FaultPlan::inert(), None);
+        let workload = dee_workloads::compress::build(Scale::Tiny);
+        let upload = Json::obj(vec![
+            ("program", Json::str(workload.program.to_listing())),
+            (
+                "memory",
+                parse(&format!("{:?}", workload.initial_memory)).unwrap(),
+            ),
+            ("model", Json::str("SP")),
+        ]);
+        let named = parse(r#"{"workload":"compress","model":"SP"}"#).unwrap();
+        let (by_name, hit) = simulate(&named).unwrap();
+        assert!(!hit);
+        let (by_content, hit) = simulate(&upload).unwrap();
+        assert!(!hit, "an upload is never a registry entry's hit");
+        let results = |response: &Json| response.get("results").map(Json::to_string);
+        assert_eq!(results(&by_name), results(&by_content));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! analysis — dominates the cost of a simulation request, and parameter
 //! sweeps (the Fluid-Petri-Net-style limit studies the service targets)
 //! re-query the same workload thousands of times with different models
-//! and `E_T` values. Caching the prepared trace by
-//! `(program, input memory, predictor)` turns every request after the
-//! first into a pure `simulate()` call.
+//! and `E_T` values. Caching the prepared trace by what was traced (a
+//! registry workload's name and scale, or an upload's content) and the
+//! predictor turns every request after the first into a pure
+//! `simulate()` call.
 //!
 //! Sharding bounds lock contention: a key maps to one of `S` independent
 //! `Mutex`-guarded LRU maps, so concurrent workers only serialize when
@@ -16,25 +17,42 @@
 //! key wait on the shard's condvar and are then served from cache (they
 //! count as hits — the work was shared, not repeated).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use dee_ilpsim::PreparedTrace;
 use dee_isa::Program;
+use dee_workloads::Scale;
 
 pub use dee_vm::{fnv1a, fnv1a_words};
 
-/// Cache key: content hashes of the program and its input memory, plus
-/// the preparing predictor.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct CacheKey {
-    /// FNV-1a of the program listing.
-    pub program: u64,
-    /// FNV-1a of the initial-memory image.
-    pub memory: u64,
-    /// FNV-1a of the predictor name ("twobit", "gshare", ...).
-    pub predictor: u64,
+/// Cache key: what was traced, and the preparing predictor's name
+/// ("twobit", "gshare", ...).
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub enum CacheKey {
+    /// A registry workload, by its registered name and scale. Its build
+    /// is a pure function of the two, so a hit need not build it.
+    Registry {
+        /// The registered workload name.
+        workload: String,
+        /// The scale it is built at.
+        scale: Scale,
+        /// The predictor name.
+        predictor: String,
+    },
+    /// An uploaded program, by content. No upload reaches a `Registry`
+    /// key, even one whose listing and image equal a workload's.
+    Upload {
+        /// FNV-1a of the program listing.
+        program: u64,
+        /// FNV-1a of the initial-memory image.
+        memory: u64,
+        /// The predictor name.
+        predictor: String,
+    },
 }
 
 /// A cached preparation: the program and its prepared trace, shared by
@@ -119,8 +137,9 @@ impl PreparedCache {
     }
 
     fn shard(&self, key: &CacheKey) -> &ShardState {
-        let mix = key.program ^ key.memory.rotate_left(17) ^ key.predictor.rotate_left(43);
-        &self.shards[(mix % self.shards.len() as u64) as usize]
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
     }
 
     fn next_tick(&self) -> u64 {
@@ -148,7 +167,7 @@ impl PreparedCache {
                 .entries
                 .iter()
                 .min_by_key(|(_, (t, _))| *t)
-                .map(|(k, _)| *k)
+                .map(|(k, _)| k.clone())
             {
                 shard.entries.remove(&victim);
             }
@@ -183,7 +202,7 @@ impl PreparedCache {
                     return Ok((Arc::clone(entry), true));
                 }
                 if !shard.pending.contains(&key) {
-                    shard.pending.insert(key);
+                    shard.pending.insert(key.clone());
                     break;
                 }
                 shard = state
@@ -194,7 +213,10 @@ impl PreparedCache {
         }
         // We are the single preparer; the guard clears the pending mark
         // and wakes waiters however this exits.
-        let _pending = PendingGuard { state, key };
+        let _pending = PendingGuard {
+            state,
+            key: key.clone(),
+        };
         let entry = prepare()?;
         Ok((self.insert(key, entry), false))
     }
@@ -237,10 +259,10 @@ mod tests {
     }
 
     fn key(n: u64) -> CacheKey {
-        CacheKey {
+        CacheKey::Upload {
             program: n,
             memory: 0,
-            predictor: 0,
+            predictor: String::new(),
         }
     }
 

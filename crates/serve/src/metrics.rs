@@ -97,15 +97,10 @@ pub struct Metrics {
     /// Connections answered `408` because the whole-request read budget
     /// ran out (slow-loris defense).
     pub read_timeouts: AtomicU64,
-    /// Panics caught at the job-execution boundary and converted to
-    /// `500` responses.
+    /// Panics caught by a thread that then went on serving: in request
+    /// dispatch (answered `500`), elsewhere in a job (that connection
+    /// dropped), in a `/batch` cell, or on the accept thread.
     pub panics_caught: AtomicU64,
-    /// Workers respawned by the supervisor after dying or recycling.
-    pub worker_respawns: AtomicU64,
-    /// Circuit-breaker trips (closed/half-open → open transitions).
-    pub breaker_trips: AtomicU64,
-    /// Jobs fast-failed with `503` because a worker's breaker was open.
-    pub breaker_fast_fails: AtomicU64,
     /// Prepared-trace cache hits.
     pub cache_hits: AtomicU64,
     /// Prepared-trace cache misses (preparations performed).
@@ -170,9 +165,6 @@ impl Metrics {
             timeouts: AtomicU64::new(0),
             read_timeouts: AtomicU64::new(0),
             panics_caught: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
-            breaker_trips: AtomicU64::new(0),
-            breaker_fast_fails: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             batch_requests: AtomicU64::new(0),
@@ -259,23 +251,8 @@ impl Metrics {
         );
         counter(
             "dee_panics_caught_total",
-            "Panics caught at the job boundary and answered as 500.",
+            "Panics caught and contained; the thread kept serving.",
             load(&self.panics_caught),
-        );
-        counter(
-            "dee_worker_respawns_total",
-            "Workers respawned by the supervisor.",
-            load(&self.worker_respawns),
-        );
-        counter(
-            "dee_breaker_trips_total",
-            "Circuit-breaker trips to the open state.",
-            load(&self.breaker_trips),
-        );
-        counter(
-            "dee_breaker_fast_fails_total",
-            "Jobs fast-failed 503 while a worker breaker was open.",
-            load(&self.breaker_fast_fails),
         );
         counter(
             "dee_prepared_cache_hits_total",
@@ -444,15 +421,9 @@ mod tests {
     fn render_exposes_robustness_counters() {
         let m = Metrics::new();
         m.panics_caught.fetch_add(2, Ordering::Relaxed);
-        m.worker_respawns.fetch_add(3, Ordering::Relaxed);
-        m.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        m.breaker_fast_fails.fetch_add(4, Ordering::Relaxed);
         m.read_timeouts.fetch_add(5, Ordering::Relaxed);
         let text = m.render(&[]);
         assert!(text.contains("dee_panics_caught_total 2"));
-        assert!(text.contains("dee_worker_respawns_total 3"));
-        assert!(text.contains("dee_breaker_trips_total 1"));
-        assert!(text.contains("dee_breaker_fast_fails_total 4"));
         assert!(text.contains("dee_read_timeouts_total 5"));
     }
 

@@ -1,5 +1,4 @@
-//! The resident simulation server: accept loop, supervised worker pool,
-//! dispatch.
+//! The resident simulation server: accept loop, worker pool, dispatch.
 //!
 //! One TCP connection carries exactly one request (`Connection: close`),
 //! so the bounded job queue measures load in whole requests. The accept
@@ -10,17 +9,18 @@
 //!
 //! # Failure containment
 //!
-//! Request dispatch runs inside `catch_unwind`: a panicking simulation
-//! job answers *that client* with a structured `500` body instead of
-//! killing the worker silently. The worker then recycles itself — a
-//! panic is treated as grounds to discard the thread's state — and a
-//! supervisor thread detects the dead worker and respawns it (counted in
-//! `dee_worker_respawns_total`). Each worker also carries a
-//! consecutive-failure circuit breaker: after `breaker_threshold`
-//! consecutive `500`s it trips open and fast-fails jobs with `503` until
-//! a cooldown passes, then half-opens for a single trial job. All
-//! failure paths can be exercised deterministically through the
-//! [`FaultPlan`](crate::faults::FaultPlan) wired into [`ServerConfig`].
+//! A worker runs every job it dequeues under one `catch_unwind` and then
+//! takes the next job, whatever happened: it holds no state between jobs
+//! (the cache, store, metrics and fault plan are shared and recover from
+//! mutex poisoning), so there is nothing for a panic to leave torn. A
+//! panic in request dispatch is caught closer still and answers *that
+//! client* with a structured `500`; a panic anywhere else in the job (the
+//! dequeue, a socket read or write) drops that one connection. Both count
+//! in `dee_panics_caught_total`. A `500` has no side effect beyond its
+//! counter, so one client's faulting program never refuses another's
+//! request. All failure paths can be exercised deterministically through
+//! the [`FaultPlan`](crate::faults::FaultPlan) wired into
+//! [`ServerConfig`].
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -64,13 +64,6 @@ pub struct ServerConfig {
     pub read_budget: Duration,
     /// Whole-response wall-clock budget for writing.
     pub write_budget: Duration,
-    /// Consecutive `500`s before a worker's circuit breaker trips open.
-    /// `0` disables the breaker.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker fast-fails before half-opening.
-    pub breaker_cooldown: Duration,
-    /// How often the supervisor checks for dead workers.
-    pub supervisor_interval: Duration,
     /// Largest `POST /batch` grid accepted; bigger grids are shed with
     /// `503` before any cell runs (a grid is amplified load: one
     /// connection, many simulations).
@@ -96,9 +89,6 @@ impl Default for ServerConfig {
             default_deadline: Duration::from_secs(10),
             read_budget: Duration::from_secs(5),
             write_budget: Duration::from_secs(5),
-            breaker_threshold: 5,
-            breaker_cooldown: Duration::from_millis(250),
-            supervisor_interval: Duration::from_millis(10),
             max_batch_cells: 256,
             faults: Arc::new(FaultPlan::inert()),
             store_dir: None,
@@ -163,31 +153,10 @@ struct Shared {
     default_deadline: Duration,
     read_budget: Duration,
     write_budget: Duration,
-    breaker_threshold: u32,
-    breaker_cooldown: Duration,
-    supervisor_interval: Duration,
     max_batch_cells: usize,
     faults: Arc<FaultPlan>,
     /// Disk cache tier for raw traces; `None` when not configured.
     store: Option<Arc<dee_store::Store>>,
-    /// Worker slots, owned jointly by the supervisor (respawns) and
-    /// shutdown (final join). `None` marks a slot being respawned.
-    slots: Mutex<Vec<Option<JoinHandle<()>>>>,
-}
-
-impl Shared {
-    fn slots(&self) -> std::sync::MutexGuard<'_, Vec<Option<JoinHandle<()>>>> {
-        // A worker that panicked while this lock was held cannot leave
-        // the Vec structurally broken; recover instead of cascading.
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn workers_alive(&self) -> usize {
-        self.slots()
-            .iter()
-            .filter(|s| s.as_ref().is_some_and(|h| !h.is_finished()))
-            .count()
-    }
 }
 
 /// A running server. Dropping the handle leaks the threads; call
@@ -196,12 +165,12 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept_thread: JoinHandle<()>,
-    supervisor_thread: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds `config.addr` and spawns the accept thread, worker pool,
-    /// and worker supervisor.
+    /// Binds `config.addr` and spawns the accept thread and the worker
+    /// pool.
     ///
     /// # Errors
     ///
@@ -223,24 +192,18 @@ impl Server {
             default_deadline: config.default_deadline,
             read_budget: config.read_budget,
             write_budget: config.write_budget,
-            breaker_threshold: config.breaker_threshold,
-            breaker_cooldown: config.breaker_cooldown,
-            supervisor_interval: config.supervisor_interval,
             max_batch_cells: config.max_batch_cells,
             faults: config.faults,
             store,
-            slots: Mutex::new(Vec::new()),
         });
-        {
-            let mut slots = shared.slots();
-            for i in 0..config.workers {
-                slots.push(Some(spawn_worker(&shared, i)?));
-            }
-        }
-        let supervisor_shared = Arc::clone(&shared);
-        let supervisor_thread = std::thread::Builder::new()
-            .name("dee-serve-supervisor".to_string())
-            .spawn(move || supervisor_loop(&supervisor_shared))?;
+        let workers = (0..config.workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("dee-serve-worker-{i}"))
+                    .spawn(move || worker_loop(&shared))
+            })
+            .collect::<std::io::Result<_>>()?;
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("dee-serve-accept".to_string())
@@ -249,7 +212,7 @@ impl Server {
             shared,
             addr,
             accept_thread,
-            supervisor_thread,
+            workers,
         })
     }
 
@@ -278,13 +241,6 @@ impl Server {
         self.shared.store.as_ref()
     }
 
-    /// Worker threads currently alive (respawns land within a
-    /// supervisor interval of a death).
-    #[must_use]
-    pub fn workers_alive(&self) -> usize {
-        self.shared.workers_alive()
-    }
-
     /// Stops accepting, lets workers drain every queued job, then joins
     /// all threads. Jobs still queued when no worker remains (the
     /// `workers: 0` seam) are answered `503`.
@@ -293,12 +249,8 @@ impl Server {
         // Unblock the accept thread with a throwaway connection.
         drop(TcpStream::connect(self.addr));
         let _ = self.accept_thread.join();
-        // Join the supervisor *before* closing the queue so it cannot
-        // respawn a worker concurrently with the final join below.
-        let _ = self.supervisor_thread.join();
         self.shared.queue.close();
-        let handles: Vec<JoinHandle<()>> = self.shared.slots().drain(..).flatten().collect();
-        for worker in handles {
+        for worker in self.workers {
             let _ = worker.join();
         }
         for work in self.shared.queue.drain() {
@@ -309,43 +261,6 @@ impl Server {
                 Work::BatchHelp(_) => {}
             }
         }
-    }
-}
-
-fn spawn_worker(shared: &Arc<Shared>, id: usize) -> std::io::Result<JoinHandle<()>> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("dee-serve-worker-{id}"))
-        .spawn(move || worker_loop(&shared))
-}
-
-/// Watches the worker slots and respawns any thread that has finished
-/// while the server is running — whether it recycled itself after a
-/// caught panic or died to an unhandled one.
-fn supervisor_loop(shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        {
-            let mut slots = shared.slots();
-            for i in 0..slots.len() {
-                if !slots[i].as_ref().is_some_and(JoinHandle::is_finished) {
-                    continue;
-                }
-                if let Some(dead) = slots[i].take() {
-                    let _ = dead.join();
-                }
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Ok(handle) = spawn_worker(shared, i) {
-                    slots[i] = Some(handle);
-                    shared
-                        .metrics
-                        .worker_respawns
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        std::thread::sleep(shared.supervisor_interval);
     }
 }
 
@@ -360,8 +275,8 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        // The accept thread has no supervisor; survive anything the
-        // enqueue path (including an armed QueuePush site) throws.
+        // Survive anything the enqueue path (including an armed
+        // QueuePush site) throws.
         if catch_unwind(AssertUnwindSafe(|| enqueue(shared, stream))).is_err() {
             shared.metrics.panics_caught.fetch_add(1, Ordering::Relaxed);
         }
@@ -400,16 +315,6 @@ fn refuse(mut stream: TcpStream, metrics: &Metrics) {
     lingering_close(stream);
 }
 
-/// Fast-fails one job with `503` because the worker's breaker is open.
-fn refuse_breaker(mut stream: TcpStream, metrics: &Metrics) {
-    metrics.breaker_fast_fails.fetch_add(1, Ordering::Relaxed);
-    metrics.count_response(503);
-    let body = Json::obj(vec![("error", Json::str("circuit open"))]).to_string();
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let _ = write_response(&mut stream, 503, "application/json", body.as_bytes());
-    lingering_close(stream);
-}
-
 /// Closes a connection whose request was never (fully) read. Closing with
 /// unread bytes in the receive buffer makes the kernel send RST, which
 /// can destroy the response before the client reads it — so half-close
@@ -425,121 +330,27 @@ fn lingering_close(mut stream: TcpStream) {
     }
 }
 
-/// A worker's consecutive-failure circuit breaker.
-///
-/// Closed → (threshold consecutive failures) → Open, fast-failing jobs
-/// with `503` → (cooldown elapses) → Half-open, one trial job →
-/// success closes, failure re-opens. Thread-local to its worker, so no
-/// locking; a respawned worker starts with a fresh (closed) breaker.
-struct Breaker {
-    threshold: u32,
-    cooldown: Duration,
-    consecutive: u32,
-    open_until: Option<Instant>,
-    half_open: bool,
-}
-
-impl Breaker {
-    fn new(threshold: u32, cooldown: Duration) -> Self {
-        Breaker {
-            threshold,
-            cooldown,
-            consecutive: 0,
-            open_until: None,
-            half_open: false,
-        }
-    }
-
-    /// Whether the next job may run; flips Open → Half-open after the
-    /// cooldown.
-    fn allow(&mut self, now: Instant) -> bool {
-        match self.open_until {
-            None => true,
-            Some(until) if now < until => false,
-            Some(_) => {
-                self.open_until = None;
-                self.half_open = true;
-                true
-            }
-        }
-    }
-
-    /// Records a job outcome; returns `true` when this trip opened the
-    /// breaker (for metrics).
-    fn record(&mut self, failed: bool, now: Instant) -> bool {
-        if self.threshold == 0 {
-            return false;
-        }
-        if !failed {
-            self.consecutive = 0;
-            self.half_open = false;
-            return false;
-        }
-        if self.half_open {
-            // Trial failed: straight back to open.
-            self.half_open = false;
-            self.open_until = Some(now + self.cooldown);
-            return true;
-        }
-        self.consecutive += 1;
-        if self.consecutive >= self.threshold {
-            self.consecutive = 0;
-            self.open_until = Some(now + self.cooldown);
-            return true;
-        }
-        false
-    }
-}
-
-/// Why a served job ended, from the worker's perspective.
-enum JobEnd {
-    /// Answered with this status.
-    Answered(u16),
-    /// Answered `500` after catching a panic; the worker should recycle.
-    Panicked,
-    /// The peer vanished before a request existed; nothing to answer.
-    Dropped,
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    let mut breaker = Breaker::new(shared.breaker_threshold, shared.breaker_cooldown);
+/// Serves jobs until the queue closes. Each job runs under one
+/// `catch_unwind`, and the worker takes the next job whatever happened:
+/// a panic outside [`dispatch`]'s own guard (the dequeue site, a socket
+/// read or write) drops that one connection and is counted, nothing more.
+fn worker_loop(shared: &Shared) {
     while let Some(work) = shared.queue.pop() {
-        let job = match work {
-            Work::Conn(job) => job,
-            Work::BatchHelp(state) => {
-                // Cell failures are per-cell `error` members, not worker
-                // health signals, so helping bypasses the breaker; the
-                // fault sites inside each cell still fire normally.
-                batch_drain(shared, &state);
-                continue;
-            }
-        };
-        if shared.faults.trip(FaultSite::QueuePop).is_some() {
-            // Injected dequeue failure: shed the job like overload.
-            refuse(job.stream, &shared.metrics);
-            continue;
-        }
-        if !breaker.allow(Instant::now()) {
-            refuse_breaker(job.stream, &shared.metrics);
-            continue;
-        }
-        let end = serve_job(shared, job);
-        match end {
-            JobEnd::Answered(status) => {
-                // Only worker-attributable failures count: 500s. Client
-                // errors, shed load (503), and deadline misses (504) say
-                // nothing about this worker's health.
-                if breaker.record(status == 500, Instant::now()) {
-                    shared.metrics.breaker_trips.fetch_add(1, Ordering::Relaxed);
+        let served = catch_unwind(AssertUnwindSafe(|| match work {
+            // Each cell runs under its own `catch_unwind`; a failed cell
+            // is that cell's `error` member.
+            Work::BatchHelp(state) => batch_drain(shared, &state),
+            Work::Conn(job) => {
+                if shared.faults.trip(FaultSite::QueuePop).is_some() {
+                    // Injected dequeue failure: shed the job like overload.
+                    refuse(job.stream, &shared.metrics);
+                } else {
+                    serve_job(shared, job);
                 }
             }
-            JobEnd::Panicked => {
-                // The client got its 500; recycle the thread anyway — a
-                // panic mid-simulation may have left thread state torn,
-                // and the supervisor will replace us within an interval.
-                return;
-            }
-            JobEnd::Dropped => {}
+        }));
+        if served.is_err() {
+            shared.metrics.panics_caught.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -563,7 +374,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn serve_job(shared: &Shared, job: Job) -> JobEnd {
+fn serve_job(shared: &Shared, job: Job) {
     let accepted = job.accepted;
     shared.metrics.phase_queue_wait.record(accepted.elapsed());
     let guarded = match GuardedStream::new(
@@ -575,20 +386,18 @@ fn serve_job(shared: &Shared, job: Job) -> JobEnd {
         Ok(guarded) => guarded,
         // The socket refused timeouts; it cannot be served under a
         // budget, and per the contract we do not serve without one.
-        Err(_) => return JobEnd::Dropped,
+        Err(_) => return,
     };
     let mut reader = BufReader::new(guarded);
     let mut fully_read = true;
-    let mut panicked = false;
     let (status, content_type, body) = match read_request(&mut reader, shared.max_body_bytes) {
-        Ok(None) => return JobEnd::Dropped, // peer closed without sending a request
+        Ok(None) => return, // peer closed without sending a request
         Ok(Some(request)) => {
             shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
             match catch_unwind(AssertUnwindSafe(|| dispatch(shared, &request, accepted))) {
                 Ok(response) => response,
                 Err(payload) => {
                     shared.metrics.panics_caught.fetch_add(1, Ordering::Relaxed);
-                    panicked = true;
                     let body = Json::obj(vec![
                         ("error", Json::str("internal: simulation job panicked")),
                         ("detail", Json::str(panic_message(payload.as_ref()))),
@@ -629,11 +438,6 @@ fn serve_job(shared: &Shared, job: Job) -> JobEnd {
         lingering_close(stream);
     }
     shared.metrics.latency.record(accepted.elapsed());
-    if panicked {
-        JobEnd::Panicked
-    } else {
-        JobEnd::Answered(status)
-    }
 }
 
 /// Every route the server answers, as `(method, path)`. Another method on
@@ -689,7 +493,6 @@ fn dispatch(shared: &Shared, request: &Request, accepted: Instant) -> (u16, &'st
                 ("dee_queue_depth", shared.queue.len() as u64),
                 ("dee_cache_entries", shared.cache.len() as u64),
                 ("dee_workers", shared.workers as u64),
-                ("dee_workers_alive", shared.workers_alive() as u64),
             ];
             let mut text = shared.metrics.render(&gauges);
             text.push_str(&shared.faults.render_metrics());
@@ -859,8 +662,7 @@ fn handle_batch(shared: &Shared, body: &Json, deadline: Instant) -> Result<Json,
                 .unwrap_or_else(PoisonError::into_inner)
                 .take()
                 .unwrap_or_else(|| {
-                    // A cell whose slot was never written (worker killed
-                    // by an unhandled panic mid-cell) degrades to an
+                    // A cell whose slot was never written degrades to an
                     // error member instead of panicking the handler.
                     Json::obj(vec![("error", Json::str("internal: cell result missing"))])
                 })
@@ -939,62 +741,6 @@ fn batch_drain(shared: &Shared, state: &BatchState) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn breaker_trips_after_threshold_consecutive_failures() {
-        let mut b = Breaker::new(3, Duration::from_millis(50));
-        let t0 = Instant::now();
-        assert!(b.allow(t0));
-        assert!(!b.record(true, t0));
-        assert!(!b.record(true, t0));
-        assert!(b.record(true, t0), "third consecutive failure trips");
-        assert!(!b.allow(t0), "open breaker refuses immediately");
-        assert!(
-            !b.allow(t0 + Duration::from_millis(49)),
-            "still open within cooldown"
-        );
-    }
-
-    #[test]
-    fn breaker_half_open_trial_closes_on_success_reopens_on_failure() {
-        let mut b = Breaker::new(2, Duration::from_millis(10));
-        let t0 = Instant::now();
-        b.record(true, t0);
-        assert!(b.record(true, t0), "trips");
-        let after = t0 + Duration::from_millis(11);
-        assert!(b.allow(after), "cooldown elapsed: half-open trial runs");
-        assert!(
-            b.record(true, after),
-            "failed trial re-opens (counts as trip)"
-        );
-        let later = after + Duration::from_millis(11);
-        assert!(b.allow(later), "second trial");
-        assert!(!b.record(false, later), "successful trial closes");
-        assert!(b.allow(later), "closed breaker admits everything");
-        assert!(!b.record(true, later), "failure count restarts from zero");
-    }
-
-    #[test]
-    fn breaker_success_resets_consecutive_count() {
-        let mut b = Breaker::new(3, Duration::from_millis(10));
-        let t0 = Instant::now();
-        b.record(true, t0);
-        b.record(true, t0);
-        b.record(false, t0);
-        assert!(!b.record(true, t0));
-        assert!(!b.record(true, t0));
-        assert!(b.record(true, t0), "needs a fresh run of three");
-    }
-
-    #[test]
-    fn zero_threshold_disables_breaker() {
-        let mut b = Breaker::new(0, Duration::from_millis(10));
-        let t0 = Instant::now();
-        for _ in 0..100 {
-            assert!(!b.record(true, t0));
-        }
-        assert!(b.allow(t0));
-    }
 
     #[test]
     fn panic_message_extracts_common_payloads() {

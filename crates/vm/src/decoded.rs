@@ -34,7 +34,6 @@
 //! lowering fuzz in `crates/vm/tests/lowering_fuzz.rs` lock this down.
 
 use std::fmt;
-use std::str::FromStr;
 
 use dee_isa::{AluOp, BranchCond, Instr, Program, Reg};
 
@@ -637,7 +636,8 @@ pub(crate) fn state_digest_parts(
 
 /// Which execution engine captures a trace: the reference interpreter or
 /// the pre-decoded fast path. The decoded engine is the default
-/// everywhere; `--engine interp` selects the reference implementation.
+/// everywhere; the interpreter is the reference the differential suites
+/// hold it to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
     /// The reference [`Machine`] interpreter.
@@ -648,18 +648,6 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Both engines, reference first.
-    pub const ALL: [Engine; 2] = [Engine::Interp, Engine::Decoded];
-
-    /// The canonical CLI name (`interp` / `decoded`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Interp => "interp",
-            Engine::Decoded => "decoded",
-        }
-    }
-
     /// Captures a trace with this engine; both engines produce
     /// byte-identical traces and errors.
     ///
@@ -675,40 +663,6 @@ impl Engine {
         match self {
             Engine::Interp => trace_program(program, initial_memory, limit),
             Engine::Decoded => trace_program_decoded(program, initial_memory, limit),
-        }
-    }
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Error for unknown `--engine` values.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseEngineError(pub String);
-
-impl fmt::Display for ParseEngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown engine `{}` (expected `decoded` or `interp`)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseEngineError {}
-
-impl FromStr for Engine {
-    type Err = ParseEngineError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" | "interpreter" | "reference" => Ok(Engine::Interp),
-            "decoded" | "fast" => Ok(Engine::Decoded),
-            other => Err(ParseEngineError(other.to_string())),
         }
     }
 }
@@ -942,18 +896,6 @@ mod tests {
         assert!(!d.is_store(10_000));
         assert_eq!(d.len(), p.len());
         assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn engine_parses_and_round_trips() {
-        assert_eq!("decoded".parse::<Engine>().unwrap(), Engine::Decoded);
-        assert_eq!("interp".parse::<Engine>().unwrap(), Engine::Interp);
-        assert_eq!("interpreter".parse::<Engine>().unwrap(), Engine::Interp);
-        assert!("warp".parse::<Engine>().is_err());
-        assert_eq!(Engine::default(), Engine::Decoded);
-        for e in Engine::ALL {
-            assert_eq!(e.name().parse::<Engine>().unwrap(), e);
-        }
     }
 
     #[test]

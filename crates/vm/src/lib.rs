@@ -48,7 +48,7 @@ mod trace;
 
 pub use decoded::{
     trace_decoded, trace_program_decoded, trace_program_with, DecodeError, DecodedMachine,
-    DecodedProgram, Engine, JrTable, ParseEngineError,
+    DecodedProgram, Engine, JrTable,
 };
 pub use machine::{Machine, MachineState, RunResult, StepOutcome, VmError, DEFAULT_MEM_WORDS};
 pub use serialize::{TraceReader, RECORD_BYTES, TRACE_FORMAT_VERSION};

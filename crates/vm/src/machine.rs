@@ -275,8 +275,25 @@ impl Machine {
         }
     }
 
+    /// The machine's state by value: [`snapshot_state`](Self::snapshot_state)
+    /// without copying the memory image or the output stream, for a
+    /// caller done with the machine.
+    #[must_use]
+    pub fn into_state(self) -> MachineState {
+        MachineState {
+            regs: self.regs,
+            mem: self.mem,
+            pc: self.pc,
+            halted: self.halted,
+            depth: self.depth,
+            executed: self.executed,
+            output: self.output,
+        }
+    }
+
     /// Builds a machine from state captured by
-    /// [`snapshot_state`](Self::snapshot_state), taking its memory image
+    /// [`snapshot_state`](Self::snapshot_state) or
+    /// [`into_state`](Self::into_state), taking its memory image
     /// and output stream by value rather than copying them. The memory is
     /// `state.mem.len()` words.
     ///
@@ -645,8 +662,11 @@ mod tests {
             records.push(rec);
         }
         let state = m.snapshot_state();
+        // Moving the state out gives what copying it does.
+        let moved = m.clone().into_state();
+        assert_eq!(moved, state);
         m.run(&p, 10_000).unwrap(); // run the original to completion
-        let mut m = Machine::from_state(state.clone());
+        let mut m = Machine::from_state(moved);
         assert_eq!(m.snapshot_state(), state);
         loop {
             let (outcome, rec) = m.step(&p).unwrap();

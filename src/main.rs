@@ -9,7 +9,7 @@
 //! dee gen <spec|default> [--seed N] [-o F] generate a seeded program
 //! dee gen sweep [--et N] [--seed N]       preview speedup vs the pred knob
 //! dee trace <prog.s> -o <file> [--mem ..] capture a binary trace
-//! dee trace record <workload> --store DIR [--scale S] [--engine E]
+//! dee trace record <workload> --store DIR [--scale S] [--seed N]
 //!                  [--checkpoint-stride N]  publish an artifact (+ snapshots)
 //! dee trace info <file.dtrc>              container header/footer summary
 //! dee trace verify <file.dtrc>            full checksum + layout check
@@ -23,7 +23,8 @@
 //! ```
 //!
 //! Programs are assembly text (see `dee_isa::parse`); initial memory cells
-//! are set with `--mem addr=value,addr=value,...`.
+//! are set with `--mem addr=value,addr=value,...`. Each command names the
+//! flags it reads, and any other flag is an error.
 
 use std::process::ExitCode;
 
@@ -58,7 +59,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   dee run <prog.s> [--mem a=v,...]          run on the functional VM
-  dee analyze <prog.s|workload> [--scale S] [--json] [--deny warnings]
+  dee analyze <prog.s|workload> [--scale S] [--seed N] [--json] [--deny warnings]
                                             static lints + branch census
                                             (exit 1: findings; exit 2: I/O
                                              or parse error)
@@ -76,7 +77,7 @@ const USAGE: &str = "usage:
   dee gen sweep [--et N] [--seed N]         preview speedup vs the pred knob
   dee trace <prog.s> -o <file> [--mem ..]   capture a binary trace
   dee trace record <workload> --store DIR [--scale tiny|small|medium|large]
-            [--engine decoded|interp] [--checkpoint-stride N]
+            [--seed N] [--checkpoint-stride N]
   dee trace info <file.dtrc>                container header/footer summary
   dee trace verify <file.dtrc>              full checksum + layout check
   dee trace ls --store DIR                  list published artifacts
@@ -86,8 +87,8 @@ const USAGE: &str = "usage:
   dee snap verify <file.dsnp>               framing + layout check
   dee replay <prog.s> <file> [--model M] [--et N]
   dee serve [--addr HOST:PORT] [--workers N] [--cache-entries K] [--queue-capacity Q]
-            [--read-budget-ms MS] [--breaker-threshold N] [--breaker-cooldown-ms MS]
-            [--chaos-seed SEED] [--store DIR]";
+            [--read-budget-ms MS] [--chaos-seed SEED] [--store DIR]
+A flag a command does not list is an error; `-o` is short for `--output`.";
 
 /// Parsed `--flag value` options after the positional arguments.
 struct Options {
@@ -103,19 +104,18 @@ struct Options {
     cache_entries: Option<usize>,
     queue_capacity: Option<usize>,
     read_budget_ms: Option<u64>,
-    breaker_threshold: Option<u32>,
-    breaker_cooldown_ms: Option<u64>,
     chaos_seed: Option<u64>,
     store: Option<String>,
     scale: Option<String>,
     checkpoint_stride: Option<u64>,
-    engine: dee::vm::Engine,
     seed: u64,
     json: bool,
     deny_warnings: bool,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// Parses the flags of `dee <command>`, refusing any flag not in
+/// `accepts`: the flags that command reads.
+fn parse_options(command: &str, accepts: &[&str], args: &[String]) -> Result<Options, String> {
     let mut options = Options {
         memory: Vec::new(),
         model: None,
@@ -129,19 +129,20 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         cache_entries: None,
         queue_capacity: None,
         read_budget_ms: None,
-        breaker_threshold: None,
-        breaker_cooldown_ms: None,
         chaos_seed: None,
         store: None,
         scale: None,
         checkpoint_stride: None,
-        engine: dee::vm::Engine::default(),
         seed: 1,
         json: false,
         deny_warnings: false,
     };
+    let unknown = |flag: &str| format!("unknown flag `{flag}` for `dee {command}`");
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
+        if !accepts.contains(&flag.as_str()) {
+            return Err(unknown(flag));
+        }
         let mut value = || {
             iter.next()
                 .cloned()
@@ -206,20 +207,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                         .map_err(|_| "bad --read-budget-ms".to_string())?,
                 )
             }
-            "--breaker-threshold" => {
-                options.breaker_threshold = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| "bad --breaker-threshold".to_string())?,
-                )
-            }
-            "--breaker-cooldown-ms" => {
-                options.breaker_cooldown_ms = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| "bad --breaker-cooldown-ms".to_string())?,
-                )
-            }
             "--chaos-seed" => {
                 options.chaos_seed = Some(
                     value()?
@@ -238,14 +225,13 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 options.checkpoint_stride = Some(stride);
             }
-            "--engine" => options.engine = value()?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => options.seed = value()?.parse().map_err(|_| "bad --seed".to_string())?,
             "--json" => options.json = true,
             "--deny" => match value()?.as_str() {
                 "warnings" => options.deny_warnings = true,
                 other => return Err(format!("`--deny` understands `warnings`, not `{other}`")),
             },
-            other => return Err(format!("unknown flag `{other}`")),
+            other => return Err(unknown(other)),
         }
     }
     Ok(options)
@@ -279,7 +265,11 @@ fn analyze_plan(args: &[String]) -> Result<(), String> {
     let target = args
         .first()
         .ok_or("missing program path or workload name")?;
-    let options = parse_options(&args[1..])?;
+    let options = parse_options(
+        "analyze plan",
+        &["-o", "--output", "--scale", "--seed", "--json"],
+        &args[1..],
+    )?;
     let program = analysis_target(target, &options)?;
     let plan = dee::analyze::SpeculationPlan::build(&program);
     let (eager, mem_spec, unsafe_count) = plan.class_counts();
@@ -387,18 +377,19 @@ fn open_store(options: &Options) -> Result<dee::store::Store, String> {
     dee::store::Store::open(dir).map_err(|e| format!("--store {dir}: {e}"))
 }
 
-/// `dee trace record <workload> --store DIR [--scale S] [--engine E]
+/// `dee trace record <workload> --store DIR [--scale S] [--seed N]
 /// [--checkpoint-stride N]` — trace a workload on the VM (validated
 /// against its reference output) and publish the artifact. Idempotent:
-/// an already-published key is left alone. `--engine decoded` (the
-/// default) uses the pre-decoded fast path; `--engine interp` the
-/// reference interpreter — the artifact bytes are identical either way.
-/// With `--checkpoint-stride N`, a `DEESNAP1` snapshot is cut and
-/// published every `N` records, enabling warm-start range simulation
-/// and time travel on the serve tier.
+/// an already-published key is left alone. With `--checkpoint-stride N`,
+/// a `DEESNAP1` snapshot is cut and published every `N` records, enabling
+/// warm-start range simulation and time travel on the serve tier.
 fn trace_record(args: &[String]) -> Result<(), String> {
     let name = args.get(2).ok_or("missing workload name")?;
-    let options = parse_options(&args[3..])?;
+    let options = parse_options(
+        "trace record",
+        &["--store", "--scale", "--seed", "--checkpoint-stride"],
+        &args[3..],
+    )?;
     let store = open_store(&options)?;
     let scale_name = options.scale.as_deref().unwrap_or("tiny");
     let scale = workload_scale(scale_name)?;
@@ -415,7 +406,7 @@ fn trace_record(args: &[String]) -> Result<(), String> {
     if store.contains(&key) {
         println!("already published: {}", key.filename());
     } else {
-        let trace = workload.validate_with(options.engine)?;
+        let trace = workload.validate_with(dee::vm::Engine::default())?;
         let path = store.put(&key, &trace).map_err(|e| e.to_string())?;
         let bytes = std::fs::metadata(&path).map_err(|e| e.to_string())?.len();
         println!(
@@ -439,7 +430,7 @@ fn trace_record(args: &[String]) -> Result<(), String> {
 
 /// `dee snap ls --store DIR` — list published snapshots.
 fn snap_ls(args: &[String]) -> Result<(), String> {
-    let options = parse_options(&args[2..])?;
+    let options = parse_options("snap ls", &["--store"], &args[2..])?;
     let store = open_store(&options)?;
     let entries = store.list_snapshots().map_err(|e| e.to_string())?;
     if entries.is_empty() {
@@ -457,6 +448,7 @@ fn snap_ls(args: &[String]) -> Result<(), String> {
 /// memory image needed).
 fn snap_info(args: &[String]) -> Result<(), String> {
     let path = args.get(2).ok_or("missing snapshot path")?;
+    parse_options("snap info", &[], &args[3..])?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let info = dee::snap::Snapshot::info(&bytes)?;
     println!("{path}:");
@@ -483,6 +475,7 @@ fn snap_info(args: &[String]) -> Result<(), String> {
 /// section-layout check.
 fn snap_verify(args: &[String]) -> Result<(), String> {
     let path = args.get(2).ok_or("missing snapshot path")?;
+    parse_options("snap verify", &[], &args[3..])?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     dee::store::verify_snapshot_bytes(&bytes)?;
     let info = dee::snap::Snapshot::info(&bytes)?;
@@ -499,6 +492,7 @@ fn snap_verify(args: &[String]) -> Result<(), String> {
 /// the payload.
 fn trace_info(args: &[String]) -> Result<(), String> {
     let path = args.get(2).ok_or("missing artifact path")?;
+    parse_options("trace info", &[], &args[3..])?;
     let info = dee::store::info_file(std::path::Path::new(path))?;
     let encoded = info.total_encoded();
     println!("{path}:");
@@ -525,6 +519,7 @@ fn trace_info(args: &[String]) -> Result<(), String> {
 /// every checksum and layout check.
 fn trace_verify(args: &[String]) -> Result<(), String> {
     let path = args.get(2).ok_or("missing artifact path")?;
+    parse_options("trace verify", &[], &args[3..])?;
     let report = dee::store::verify_file(std::path::Path::new(path))?;
     println!(
         "{path}: ok — {} records, {} output words, output checksum {:016x}",
@@ -535,7 +530,7 @@ fn trace_verify(args: &[String]) -> Result<(), String> {
 
 /// `dee trace ls --store DIR` — list published artifacts.
 fn trace_ls(args: &[String]) -> Result<(), String> {
-    let options = parse_options(&args[2..])?;
+    let options = parse_options("trace ls", &["--store"], &args[2..])?;
     let store = open_store(&options)?;
     let entries = store.list().map_err(|e| e.to_string())?;
     if entries.is_empty() {
@@ -552,7 +547,7 @@ fn trace_ls(args: &[String]) -> Result<(), String> {
 /// `dee trace gc --store DIR` — sweep in-flight orphans and quarantined
 /// files.
 fn trace_gc(args: &[String]) -> Result<(), String> {
-    let options = parse_options(&args[2..])?;
+    let options = parse_options("trace gc", &["--store"], &args[2..])?;
     let store = open_store(&options)?;
     let report = store.gc().map_err(|e| e.to_string())?;
     println!(
@@ -571,7 +566,7 @@ fn gen_program(args: &[String]) -> Result<(), String> {
     let spec_text = args
         .get(1)
         .ok_or("missing gen spec (try `dee gen default`)")?;
-    let options = parse_options(&args[2..])?;
+    let options = parse_options("gen", &["--seed", "-o", "--output"], &args[2..])?;
     let spec = dee::gen::GenSpec::parse(spec_text).map_err(|e| e.to_string())?;
     let generated = dee::gen::generate(&spec, options.seed).map_err(|e| e.to_string())?;
     let listing = generated.listing();
@@ -604,7 +599,7 @@ fn gen_program(args: &[String]) -> Result<(), String> {
 /// full seeded grid (with `--jobs` and the committed golden CSV) is the
 /// `genspace` bench binary.
 fn gen_sweep(args: &[String]) -> Result<(), String> {
-    let options = parse_options(&args[2..])?;
+    let options = parse_options("gen sweep", &["--et", "--seed"], &args[2..])?;
     println!(
         "pred-knob preview: seed {}, E_T = {} (full grid: `genspace` in crates/bench)",
         options.seed, options.et
@@ -656,7 +651,7 @@ fn run(args: &[String]) -> Result<(), String> {
     match command.as_str() {
         "run" => {
             let path = args.get(1).ok_or("missing program path")?;
-            let options = parse_options(&args[2..])?;
+            let options = parse_options("run", &["--mem"], &args[2..])?;
             let program = load_program(path)?;
             let trace = trace_program(&program, &options.memory, 1_000_000_000)
                 .map_err(|e| e.to_string())?;
@@ -674,7 +669,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 return analyze_plan(&args[2..]);
             }
             let target = args.get(1).ok_or("missing program path or workload name")?;
-            let options = parse_options(&args[2..])?;
+            let options = parse_options(
+                "analyze",
+                &["--scale", "--seed", "--json", "--deny"],
+                &args[2..],
+            )?;
             // A registered workload name analyses the built program at
             // `--scale` (default tiny); `gen:<spec>` analyses a generated
             // program at `--seed`; anything else is an assembly path.
@@ -706,7 +705,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "sim" => {
             let path = args.get(1).ok_or("missing program path")?;
-            let options = parse_options(&args[2..])?;
+            let options = parse_options("sim", &["--model", "--et", "--mem"], &args[2..])?;
             let program = load_program(path)?;
             let trace = trace_program(&program, &options.memory, 1_000_000_000)
                 .map_err(|e| e.to_string())?;
@@ -719,7 +718,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "levo" => {
             let path = args.get(1).ok_or("missing program path")?;
-            let options = parse_options(&args[2..])?;
+            let options = parse_options("levo", &["--dee-paths", "--mem"], &args[2..])?;
             let program = load_program(path)?;
             let mut config = LevoConfig::default();
             if let Some(paths) = options.dee_paths {
@@ -741,7 +740,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "unroll" => {
             let path = args.get(1).ok_or("missing program path")?;
-            let options = parse_options(&args[2..])?;
+            let options = parse_options("unroll", &["--factor"], &args[2..])?;
             let program = load_program(path)?;
             let result = unroll_loops(
                 &program,
@@ -761,7 +760,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "tree" => {
-            let options = parse_options(&args[1..])?;
+            let options = parse_options("tree", &["--p", "--et"], &args[1..])?;
             let tree = StaticTree::build(TreeParams {
                 p: options.p,
                 et: options.et,
@@ -796,7 +795,7 @@ fn run(args: &[String]) -> Result<(), String> {
             // Legacy form: `dee trace <prog.s> -o <file>` captures a
             // bare DEETRC1 stream (no container).
             Some(path) => {
-                let options = parse_options(&args[2..])?;
+                let options = parse_options("trace", &["-o", "--output", "--mem"], &args[2..])?;
                 let out_path = options.output.as_deref().ok_or("missing -o <file>")?;
                 let program = load_program(path)?;
                 let trace = trace_program(&program, &options.memory, 1_000_000_000)
@@ -813,7 +812,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "replay" => {
             let prog_path = args.get(1).ok_or("missing program path")?;
             let trace_path = args.get(2).ok_or("missing trace file")?;
-            let options = parse_options(&args[3..])?;
+            let options = parse_options("replay", &["--model", "--et"], &args[3..])?;
             let program = load_program(prog_path)?;
             let file = std::fs::File::open(trace_path).map_err(|e| e.to_string())?;
             let trace = dee::vm::Trace::read_from(std::io::BufReader::new(file))
@@ -822,7 +821,19 @@ fn run(args: &[String]) -> Result<(), String> {
             print_speedups(&PreparedTrace::new(&program, &trace), &options)
         }
         "serve" => {
-            let options = parse_options(&args[1..])?;
+            let options = parse_options(
+                "serve",
+                &[
+                    "--addr",
+                    "--workers",
+                    "--cache-entries",
+                    "--queue-capacity",
+                    "--read-budget-ms",
+                    "--chaos-seed",
+                    "--store",
+                ],
+                &args[1..],
+            )?;
             let mut config = dee::serve::ServerConfig::default();
             if let Some(addr) = options.addr {
                 config.addr = addr;
@@ -841,12 +852,6 @@ fn run(args: &[String]) -> Result<(), String> {
             if let Some(ms) = options.read_budget_ms {
                 config.read_budget = std::time::Duration::from_millis(ms);
                 config.write_budget = std::time::Duration::from_millis(ms);
-            }
-            if let Some(threshold) = options.breaker_threshold {
-                config.breaker_threshold = threshold;
-            }
-            if let Some(ms) = options.breaker_cooldown_ms {
-                config.breaker_cooldown = std::time::Duration::from_millis(ms);
             }
             if let Some(dir) = &options.store {
                 config.store_dir = Some(dir.into());
@@ -887,40 +892,43 @@ mod tests {
         args.iter().map(|s| (*s).to_string()).collect()
     }
 
+    /// Asserts that `dee <command> <rest>` fails naming `flag` as
+    /// unknown to `dee <command>`.
+    fn refuses(command: &str, rest: &str, flag: &str) {
+        let line = format!("{command} {rest}");
+        let err = run(&strings(&line.split_whitespace().collect::<Vec<_>>())).unwrap_err();
+        assert_eq!(err, format!("unknown flag `{flag}` for `dee {command}`"));
+    }
+
     #[test]
     fn options_parse_memory_pairs() {
-        let options = parse_options(&strings(&["--mem", "0=5,3=-7", "--et", "64"])).unwrap();
+        let args = strings(&["--mem", "0=5,3=-7", "--et", "64"]);
+        let options = parse_options("sim", &["--mem", "--et"], &args).unwrap();
         assert_eq!(options.memory, vec![5, 0, 0, -7]);
         assert_eq!(options.et, 64);
     }
 
     #[test]
     fn options_reject_bad_memory() {
-        assert!(parse_options(&strings(&["--mem", "x=1"])).is_err());
-        assert!(parse_options(&strings(&["--mem", "5"])).is_err());
-        assert!(parse_options(&strings(&["--et"])).is_err());
-        assert!(parse_options(&strings(&["--bogus"])).is_err());
+        let sim = |args: &[&str]| parse_options("sim", &["--mem", "--et"], &strings(args));
+        assert!(sim(&["--mem", "x=1"]).is_err());
+        assert!(sim(&["--mem", "5"]).is_err());
+        assert!(sim(&["--et"]).is_err());
+        assert!(sim(&["--bogus"]).is_err());
     }
 
     #[test]
     fn options_parse_robustness_flags() {
-        let options = parse_options(&strings(&[
-            "--read-budget-ms",
-            "2500",
-            "--breaker-threshold",
-            "7",
-            "--breaker-cooldown-ms",
-            "400",
-            "--chaos-seed",
-            "12345",
-        ]))
-        .unwrap();
+        let flags = ["--read-budget-ms", "--chaos-seed"];
+        let serve = |args: &[&str]| parse_options("serve", &flags, &strings(args));
+        let options = serve(&["--read-budget-ms", "2500", "--chaos-seed", "12345"]).unwrap();
         assert_eq!(options.read_budget_ms, Some(2500));
-        assert_eq!(options.breaker_threshold, Some(7));
-        assert_eq!(options.breaker_cooldown_ms, Some(400));
         assert_eq!(options.chaos_seed, Some(12345));
-        assert!(parse_options(&strings(&["--chaos-seed", "abc"])).is_err());
-        assert!(parse_options(&strings(&["--breaker-threshold"])).is_err());
+        assert!(serve(&["--chaos-seed", "abc"]).is_err());
+        // The circuit breaker went: its flags are unknown, not ignored.
+        for flag in ["--breaker-threshold", "--breaker-cooldown-ms"] {
+            refuses("serve", &format!("{flag} 5"), flag);
+        }
     }
 
     #[test]
@@ -938,8 +946,7 @@ mod tests {
         // The cluster flags went with the cluster tier: the parser refuses
         // each one as unknown instead of ignoring it.
         for flag in ["--peers", "--replication", "--nodes", "--hedge-ms"] {
-            let err = parse_options(&strings(&[flag, "1"])).err().unwrap();
-            assert!(err.contains("unknown flag"), "{err}");
+            refuses("serve", &format!("{flag} 1"), flag);
         }
     }
 
@@ -1157,8 +1164,12 @@ mod tests {
         assert!(run(&strings(&["snap", "bogus"])).is_err());
         assert!(run(&strings(&["snap", "info"])).is_err());
         assert!(run(&strings(&["snap", "verify", "/tmp/dee-cli-missing.dsnp"])).is_err());
-        assert!(parse_options(&strings(&["--checkpoint-stride", "0"])).is_err());
-        assert!(parse_options(&strings(&["--checkpoint-stride", "abc"])).is_err());
+        let stride = |value| {
+            let args = strings(&["--checkpoint-stride", value]);
+            parse_options("trace record", &["--checkpoint-stride"], &args)
+        };
+        assert!(stride("0").is_err());
+        assert!(stride("abc").is_err());
     }
 
     #[test]
@@ -1187,5 +1198,70 @@ mod tests {
         assert!(run(&strings(&["trace", "ls"])).is_err());
         std::fs::remove_dir_all("/tmp/dee-cli-bogus").ok();
         std::fs::remove_dir_all("/tmp/dee-cli-bogus2").ok();
+    }
+
+    #[test]
+    fn program_commands_refuse_flags_they_do_not_read() {
+        // Each flag belongs to another command; no path is ever opened.
+        for (command, rest, flag) in [
+            ("run", "p.s --et 8", "--et"),
+            ("sim", "p.s --dee-paths 2", "--dee-paths"),
+            ("levo", "p.s --model sp", "--model"),
+            ("unroll", "p.s --mem 0=1", "--mem"),
+            ("trace", "p.s -o t --et 8", "--et"),
+            ("replay", "p.s t --mem 0=1", "--mem"),
+        ] {
+            refuses(command, rest, flag);
+        }
+    }
+
+    #[test]
+    fn analyze_commands_refuse_flags_they_do_not_read() {
+        for (command, rest, flag) in [
+            ("analyze", "compress --workers 3", "--workers"),
+            ("analyze", "compress -o x", "-o"),
+            ("analyze plan", "compress --deny warnings", "--deny"),
+        ] {
+            refuses(command, rest, flag);
+        }
+    }
+
+    #[test]
+    fn tree_and_gen_refuse_flags_they_do_not_read() {
+        for (command, rest, flag) in [
+            ("tree", "--p 0.9 --et 34 --workers 3", "--workers"),
+            ("tree", "--store /nonexistent", "--store"),
+            ("tree", "--engine interp", "--engine"),
+            ("gen", "default --et 8", "--et"),
+            ("gen sweep", "-o x", "-o"),
+        ] {
+            refuses(command, rest, flag);
+        }
+    }
+
+    #[test]
+    fn store_commands_refuse_flags_they_do_not_read() {
+        // `--engine` went from `trace record`: both engines write the same
+        // artifact bytes.
+        for (command, rest, flag) in [
+            ("trace record", "xlisp --store d --engine x", "--engine"),
+            ("trace ls", "--scale tiny", "--scale"),
+            ("trace gc", "--seed 1", "--seed"),
+            ("trace info", "x.dtrc --json", "--json"),
+            ("trace verify", "x.dtrc -o y", "-o"),
+            ("snap ls", "--workers 2", "--workers"),
+            ("snap info", "x.dsnp --json", "--json"),
+            ("snap verify", "x.dsnp --mem 0=1", "--mem"),
+        ] {
+            refuses(command, rest, flag);
+        }
+    }
+
+    #[test]
+    fn serve_refuses_flags_it_does_not_read() {
+        // Refused before the server binds anything.
+        for flag in ["--et", "--scale", "--seed", "--engine"] {
+            refuses("serve", &format!("--workers 2 {flag} 1"), flag);
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! * 2 — the program never loaded (I/O error or parse error).
 //!
 //! Scripts and CI use the distinction to separate "dirty program" from
-//! "broken invocation", so the codes are pinned here.
+//! "broken invocation", so the codes are pinned here. Every other `dee`
+//! command exits 1 on a bad invocation.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -86,4 +87,24 @@ fn plan_subcommand_writes_a_loadable_artifact() {
 fn plan_io_error_exits_two() {
     let out = dee(&["analyze", "plan", "/nonexistent/never/these.s"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_is_an_error() {
+    for (args, code) in [
+        (&["tree", "--workers", "3"][..], 1),
+        (&["analyze", "compress", "--workers", "3"][..], 2),
+    ] {
+        let out = dee(args);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let command = args[0];
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l == format!("error: unknown flag `--workers` for `dee {command}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
 }

@@ -5,7 +5,10 @@
 //! spurious errors at every site. The properties under test:
 //!
 //! - a panicking simulation job answers *that* client with a structured
-//!   `500` and the worker is respawned (visible in `/metrics`);
+//!   `500`, and the same worker serves the next request;
+//! - a panic outside the handler drops only its own connection;
+//! - a run of `500`s, injected or from a client's faulting program,
+//!   changes nothing for later requests;
 //! - the storm never deadlocks: every connection gets a syntactically
 //!   valid HTTP response within a bounded wall-clock;
 //! - the same seed produces the same injected-fault sequence;
@@ -36,24 +39,9 @@ fn spawn_with(workers: usize, faults: FaultPlan) -> Server {
         // single-digit milliseconds.
         read_budget: Duration::from_secs(2),
         write_budget: Duration::from_secs(2),
-        supervisor_interval: Duration::from_millis(5),
         ..ServerConfig::default()
     })
     .expect("bind on port 0")
-}
-
-/// Waits until the supervisor has every worker slot alive again.
-fn wait_for_healed(server: &Server, workers: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.workers_alive() < workers {
-        assert!(
-            Instant::now() < deadline,
-            "supervisor never healed the pool: {}/{} alive",
-            server.workers_alive(),
-            workers
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 /// Directly computed expected payload for the clean-request check.
@@ -70,11 +58,24 @@ fn expected_simulate_result() -> String {
 
 const CLEAN_BODY: &str = r#"{"workload":"compress","scale":"tiny","model":"DEE-CD-MF","et":16}"#;
 
+/// Asserts `body` is a `/simulate` of [`CLEAN_BODY`] whose one result is
+/// byte-identical to direct computation.
+fn assert_clean_result(status: u16, body: &str, expected: &str) {
+    assert_eq!(status, 200, "{body}");
+    let json = dee::serve::json::parse(body).expect("valid json");
+    let results = json
+        .get("results")
+        .and_then(dee::serve::Json::as_arr)
+        .expect("results");
+    assert_eq!(results[0].to_string(), expected);
+}
+
 #[test]
-fn injected_panic_answers_500_then_worker_respawns_then_results_are_byte_identical() {
+fn injected_panic_answers_500_then_the_worker_serves_byte_identical_results() {
     // Fuse of 1: exactly one injected fault (a job-execution panic), then
     // the plan goes quiet and the server must behave as if nothing
-    // happened.
+    // happened. One worker, so the thread that caught the panic is the
+    // one that serves everything after it.
     let plan = FaultPlan::new(7)
         .arm(
             FaultSite::JobExecute,
@@ -84,8 +85,7 @@ fn injected_panic_answers_500_then_worker_respawns_then_results_are_byte_identic
             },
         )
         .with_fuse(1);
-    let workers = 2;
-    let server = spawn_with(workers, plan);
+    let server = spawn_with(1, plan);
     let addr = server.addr();
 
     // The poisoned request: a structured 500 to this client only.
@@ -93,23 +93,9 @@ fn injected_panic_answers_500_then_worker_respawns_then_results_are_byte_identic
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("panicked"), "{body}");
 
-    // The worker that caught the panic recycles; the supervisor respawns
-    // it, and the respawn is visible in /metrics. Respawn is asynchronous
-    // (the supervisor polls), so scrape until the counter moves.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let metrics = loop {
-        let (_, metrics) = get(addr, "/metrics");
-        if scrape(&metrics, "dee_worker_respawns_total") >= 1 {
-            break metrics;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "respawn never surfaced in /metrics: {metrics}"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    };
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200, "{metrics}");
     assert_eq!(scrape(&metrics, "dee_panics_caught_total"), 1, "{metrics}");
-    wait_for_healed(&server, workers);
     assert_eq!(
         scrape(&metrics, "dee_faults_injected_total{site=\"job_execute\"}"),
         1,
@@ -123,13 +109,7 @@ fn injected_panic_answers_500_then_worker_respawns_then_results_are_byte_identic
     let mut bodies = Vec::new();
     for _ in 0..3 {
         let (status, body) = post(addr, "/simulate", CLEAN_BODY);
-        assert_eq!(status, 200, "{body}");
-        let json = dee::serve::json::parse(&body).expect("valid json");
-        let results = json
-            .get("results")
-            .and_then(dee::serve::Json::as_arr)
-            .expect("results");
-        assert_eq!(results[0].to_string(), expected);
+        assert_clean_result(status, &body, &expected);
         bodies.push(body);
     }
     assert_eq!(
@@ -247,37 +227,21 @@ fn chaos_soak_survives_a_hostile_storm() {
         "hostile plan injected nothing over {iterations} requests"
     );
 
-    // End the storm: disarm, let the supervisor heal the pool.
+    // End the storm. Clean requests are byte-identical to direct
+    // computation. The first request warms the cache (an injected fault
+    // may have failed the storm's preparation), then two warm responses
+    // must match each other byte for byte.
     server.faults().disarm();
-    wait_for_healed(&server, workers);
-
-    // No leaked workers, queue drained, and clean requests are
-    // byte-identical to direct computation. The first request warms the
-    // cache (an injected fault may have failed the storm's preparation),
-    // then two warm responses must match each other byte for byte.
     let expected = expected_simulate_result();
     let mut warm = Vec::new();
     for _ in 0..3 {
         let (status, body) = post(addr, "/simulate", CLEAN_BODY);
-        assert_eq!(status, 200, "{body}");
-        let json = dee::serve::json::parse(&body).expect("valid json");
-        let results = json
-            .get("results")
-            .and_then(dee::serve::Json::as_arr)
-            .expect("results");
-        assert_eq!(results[0].to_string(), expected);
+        assert_clean_result(status, &body, &expected);
         warm.push(body);
     }
     assert_eq!(
         warm[1], warm[2],
         "post-storm responses must be byte-identical"
-    );
-
-    let (_, metrics) = get(addr, "/metrics");
-    assert_eq!(
-        scrape(&metrics, "dee_workers_alive"),
-        workers as u64,
-        "{metrics}"
     );
     server.shutdown();
 }
@@ -349,50 +313,98 @@ fn same_seed_produces_the_same_injected_fault_sequence() {
     );
 }
 
+/// Passes the lint gate but faults at run time: it loads the address
+/// 5 000 000 from memory and then loads from it.
+const FAULTING_UPLOAD: &str = r#"{"program":"lw r2, 0(r0)\nlw r1, 0(r2)\nout r1\nhalt\n","memory":[5000000],"model":"SP","et":8}"#;
+
 #[test]
-fn breaker_trips_to_fast_503_and_recovers_after_cooldown() {
-    // Every job fails: three consecutive 500s trip the worker's breaker.
-    let plan = FaultPlan::new(3).arm(
-        FaultSite::JobExecute,
-        FaultSpec {
-            error_ppm: 1_000_000,
-            ..FaultSpec::default()
-        },
-    );
-    let server = Server::spawn(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 1,
-        breaker_threshold: 3,
-        breaker_cooldown: Duration::from_millis(200),
-        faults: Arc::new(plan),
-        ..ServerConfig::default()
-    })
-    .expect("bind");
+fn a_clients_faulting_uploads_never_refuse_other_requests() {
+    let server = spawn_with(1, FaultPlan::inert());
     let addr = server.addr();
-
-    for i in 0..3 {
-        let (status, body) = post(addr, "/tree", r#"{"et":10}"#);
-        assert_eq!(status, 500, "request {i}: {body}");
+    for i in 0..8 {
+        let (status, body) = post(addr, "/simulate", FAULTING_UPLOAD);
+        assert_eq!(status, 500, "upload {i}: {body}");
+        assert!(
+            body.contains(r#""error":"trace: memory address 5000000 out of range"#),
+            "upload {i}: {body}"
+        );
     }
-    // Tripped: the next job is fast-failed without executing.
-    let (status, body) = post(addr, "/tree", r#"{"et":10}"#);
-    assert_eq!(status, 503, "{body}");
-    assert!(body.contains("circuit open"), "{body}");
+    // The run of 500s belongs to that client's program, not to the
+    // worker: everyone else is served.
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = get(addr, "/metrics");
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = post(addr, "/simulate", CLEAN_BODY);
+    assert_clean_result(status, &body, &expected_simulate_result());
+    server.shutdown();
+}
 
-    // Heal the fault and wait out the cooldown: the half-open trial
-    // succeeds and the breaker closes.
-    server.faults().disarm();
-    std::thread::sleep(Duration::from_millis(250));
-    let (status, body) = post(addr, "/tree", r#"{"et":10}"#);
-    assert_eq!(status, 200, "half-open trial should pass: {body}");
-    let (status, _) = post(addr, "/tree", r#"{"et":10}"#);
-    assert_eq!(status, 200);
-
-    let (_, metrics) = get(addr, "/metrics");
-    assert_eq!(scrape(&metrics, "dee_breaker_trips_total"), 1, "{metrics}");
-    assert!(
-        scrape(&metrics, "dee_breaker_fast_fails_total") >= 1,
-        "{metrics}"
+#[test]
+fn injected_job_execute_errors_answer_500_and_the_worker_keeps_serving() {
+    // Every job fails until the fuse of eight is spent.
+    let plan = FaultPlan::new(3)
+        .arm(
+            FaultSite::JobExecute,
+            FaultSpec {
+                error_ppm: 1_000_000,
+                ..FaultSpec::default()
+            },
+        )
+        .with_fuse(8);
+    let server = spawn_with(1, plan);
+    let addr = server.addr();
+    for i in 0..8 {
+        let (status, body) = post(addr, "/tree", TREE_BODY);
+        assert_eq!(status, 500, "request {i}: {body}");
+        assert_eq!(
+            body, r#"{"error":"injected fault: job_execute"}"#,
+            "request {i}"
+        );
+    }
+    let (status, body) = post(addr, "/tree", TREE_BODY);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        server.faults().injected_at(FaultSite::JobExecute),
+        8,
+        "the fuse bounds the storm"
     );
     server.shutdown();
+}
+
+#[test]
+fn a_panic_outside_the_handler_drops_one_connection_and_the_worker_keeps_serving() {
+    for site in [
+        FaultSite::QueuePop,
+        FaultSite::SocketRead,
+        FaultSite::SocketWrite,
+    ] {
+        let plan = FaultPlan::new(5)
+            .arm(
+                site,
+                FaultSpec {
+                    panic_ppm: 1_000_000,
+                    ..FaultSpec::default()
+                },
+            )
+            .with_fuse(1);
+        let server = spawn_with(1, plan);
+        let addr = server.addr();
+        // The panic unwinds past the handler, so there is no response to
+        // write: the connection closes empty (status 0).
+        let (status, body) = post(addr, "/tree", TREE_BODY);
+        assert_eq!(status, 0, "{}: {body}", site.name());
+        // The same (only) worker takes the next job.
+        let (status, body) = post(addr, "/tree", TREE_BODY);
+        assert_eq!(status, 200, "{}: {body}", site.name());
+        let (status, metrics) = get(addr, "/metrics");
+        assert_eq!(status, 200, "{}: {metrics}", site.name());
+        assert_eq!(
+            scrape(&metrics, "dee_panics_caught_total"),
+            1,
+            "{}: {metrics}",
+            site.name()
+        );
+        server.shutdown();
+    }
 }

@@ -17,7 +17,7 @@ mod support;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dee::serve::{FaultPlan, Server, ServerConfig};
 use dee_rng::Rng;
@@ -39,21 +39,12 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Retries a request until it answers 200 (the storm is disarmed but
-/// breakers may still be cooling down); panics past the deadline.
-fn post_until_ok(addr: std::net::SocketAddr, path: &str, body: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (status, response) = post(addr, path, body);
-        if status == 200 {
-            return response;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "request never healed to 200 (last status {status}): {response}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+/// Posts a request that must answer 200: once the storm is disarmed,
+/// nothing an earlier fault did may refuse a later request.
+fn post_ok(addr: std::net::SocketAddr, path: &str, body: &str) -> String {
+    let (status, response) = post(addr, path, body);
+    assert_eq!(status, 200, "{path} {body}: {response}");
+    response
 }
 
 /// The i-th seeded `/simulate_range` body for this storm.
@@ -141,7 +132,6 @@ fn roundtrip_under_seed(seed: u64) {
         faults: Arc::new(FaultPlan::hostile(seed)),
         read_budget: Duration::from_secs(2),
         write_budget: Duration::from_secs(2),
-        supervisor_interval: Duration::from_millis(5),
         ..ServerConfig::default()
     })
     .expect("bind storm server");
@@ -166,7 +156,7 @@ fn roundtrip_under_seed(seed: u64) {
     // at least once (every start ≥ the first stride has a snapshot).
     server.faults().disarm();
     for (body, expected) in bodies.iter().zip(&canonical) {
-        let response = post_until_ok(addr, "/simulate_range", body);
+        let response = post_ok(addr, "/simulate_range", body);
         assert_eq!(&response, expected, "calm response diverged for {body}");
     }
     assert!(
@@ -179,15 +169,8 @@ fn roundtrip_under_seed(seed: u64) {
     let probe = format!("/debug/at?workload=compress&scale=tiny&record={}", len / 2);
     let (status, oracle_at) = get(oracle.addr(), &probe);
     assert_eq!(status, 200, "{oracle_at}");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let subject_at = loop {
-        let (status, body) = get(addr, &probe);
-        if status == 200 {
-            break body;
-        }
-        assert!(Instant::now() < deadline, "debug/at never healed: {body}");
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let (status, subject_at) = get(addr, &probe);
+    assert_eq!(status, 200, "{subject_at}");
     assert_eq!(subject_at, oracle_at, "time travel diverged from oracle");
 
     // Corruption phase: flip one byte in the *lowest* snapshot
@@ -209,7 +192,7 @@ fn roundtrip_under_seed(seed: u64) {
     );
     let (status, oracle_body) = post(oracle.addr(), "/simulate_range", &corrupt_probe);
     assert_eq!(status, 200, "{oracle_body}");
-    let healed = post_until_ok(addr, "/simulate_range", &corrupt_probe);
+    let healed = post_ok(addr, "/simulate_range", &corrupt_probe);
     assert_eq!(
         healed, oracle_body,
         "from-zero fallback after snapshot corruption changed bytes"
@@ -234,7 +217,7 @@ fn roundtrip_under_seed(seed: u64) {
     let (status, oracle_late) = post(oracle.addr(), "/simulate_range", &late_probe);
     assert_eq!(status, 200, "{oracle_late}");
     let hits_before = scrape_at(addr, "dee_snap_seek_hits_total");
-    let late = post_until_ok(addr, "/simulate_range", &late_probe);
+    let late = post_ok(addr, "/simulate_range", &late_probe);
     assert_eq!(late, oracle_late, "surviving-snapshot warm start diverged");
     assert!(
         scrape_at(addr, "dee_snap_seek_hits_total") > hits_before,
