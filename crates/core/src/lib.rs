@@ -39,5 +39,5 @@ pub mod static_tree;
 pub mod tree;
 
 pub use assign::{assign_resources, expected_performance, PathCandidate};
-pub use static_tree::{ee_depth, log_p_not_p, StaticTree, TreeParams};
+pub use static_tree::{ee_depth, log_p_not_p, StaticTree, TreeParams, MAX_ET};
 pub use tree::{ChosenPath, SpecTree, Strategy};

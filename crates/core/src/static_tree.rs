@@ -28,6 +28,13 @@
 //! Single Path, which is why the paper's DEE curves coincide with SP at and
 //! below 16 branch paths for `p ≈ 0.905`.
 
+/// The largest branch-path budget `E_T` the front ends accept (`dee-serve`
+/// requests and the `dee` CLI). The static tree costs `O(E_T^1.5)` to
+/// build, so an unbounded value lets one request burn a worker for hours;
+/// 100 000 already covers every sweep in the paper by two orders of
+/// magnitude.
+pub const MAX_ET: u32 = 100_000;
+
 /// Inputs to the static tree heuristic.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TreeParams {

@@ -72,6 +72,12 @@ impl Staircase {
 /// let outcome = simulate(&prepared, &SimConfig::new(Model::DeeCdMf, 64));
 /// assert!(outcome.speedup() >= 1.0);
 /// ```
+///
+/// # Panics
+///
+/// Panics when a constrained model's sequential machine would take more
+/// than 2^31 − 2 cycles: its times keep a flag in their low bit, leaving
+/// 31 bits of cycles (DESIGN.md §4, item 9).
 #[must_use]
 pub fn simulate(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
     if config.model == Model::Oracle {
@@ -107,6 +113,19 @@ fn meta_latency(m: u32, table: &[u32; 4], mem_override: Option<&[u32]>, i: usize
         }
     }
     table[(m >> META_CLASS_SHIFT) as usize & 3]
+}
+
+/// Record `i`'s completion offset in [`run`]'s encoding, `2(λ − 1)`:
+/// `spans` holds it per class, and an attached memory-system latency
+/// overrides it for memory records (as in [`meta_latency`]).
+#[inline]
+fn meta_span(m: u32, spans: &[u32; 4], mem_override: Option<&[u32]>, i: usize) -> u32 {
+    if m & (META_HAS_READ | META_HAS_WRITE) != 0 {
+        if let Some(mem) = mem_override {
+            return 2 * (mem[i].max(1) - 1);
+        }
+    }
+    spans[(m >> META_CLASS_SHIFT) as usize & 3]
 }
 
 /// Ideal sequential machine time: one instruction at a time, each taking
@@ -279,6 +298,12 @@ struct Shape {
     h: u32,
 }
 
+/// The longest sequential run a constrained model accepts. No record
+/// completes later than on the sequential machine, and the loop's largest
+/// encoded time, a penalty raised by the last branch, is `2(S + 1) + 1`
+/// for `S` sequential cycles, so this keeps every time inside a `u32`.
+pub(crate) const MAX_SEQUENTIAL_CYCLES: u64 = (1 << 31) - 2;
+
 fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
     let model = config.model;
     // Window depth in real branch paths, and the DEE coverage shape
@@ -303,11 +328,16 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
             h: 0,
         },
     };
+    let sequential = sequential_cycles(prepared, &config.latency);
+    assert!(
+        sequential <= MAX_SEQUENTIAL_CYCLES,
+        "{sequential} sequential cycles exceed the simulator's {MAX_SEQUENTIAL_CYCLES}"
+    );
     // One monomorphised loop per model class, chosen once per call: EE
     // charges no penalties (its tree covers both sides of every branch);
     // the non-MF models serialize branches; the -CD models bound
     // penalties by region.
-    type Loop = fn(&PreparedTrace, &SimConfig, &Shape) -> (u32, Vec<u64>);
+    type Loop = fn(&PreparedTrace, &SimConfig, &Shape) -> Run;
     let pe = config.max_pe.is_some();
     let run: Loop = match model {
         Model::Ee if pe => run::<false, false, false, true>,
@@ -320,12 +350,42 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
         Model::SpCdMf | Model::DeeCdMf => run::<false, true, true, false>,
         Model::Oracle => unreachable!("the oracle has its own loop"),
     };
-    let (total, histogram) = run(prepared, config, &shape);
+    // The loops whose every wider window repeats a window-free run (DESIGN
+    // §4, item 9), named by the model that owns each: their histogram is
+    // fixed by the trace (serialized branches resolve at the root, EE
+    // charges no penalties), a tree with h = 0 is SP's chain, and greedy
+    // PE issue is not monotone in the window.
+    let memo_loop = match model {
+        _ if pe || shape.h > 0 => None,
+        Model::Ee | Model::Sp | Model::SpCd => Some(model),
+        Model::Dee => Some(Model::Sp),
+        Model::DeeCd => Some(Model::SpCd),
+        Model::SpCdMf | Model::DeeCdMf | Model::Oracle => None,
+    };
+    let memo = &prepared.window_memo;
+    let answered = memo_loop.and_then(|m| memo.answer(m, config.latency, shape.window));
+    let (total, histogram) = if let Some(total) = answered {
+        let mut histogram = vec![0; LEVEL_HISTOGRAM_CAP];
+        if memo_loop != Some(Model::Ee) {
+            histogram[0] = prepared.num_mispredicts();
+        }
+        (total, histogram)
+    } else {
+        let Run {
+            total,
+            window_free,
+            histogram,
+        } = run(prepared, config, &shape);
+        if let (Some(m), true) = (memo_loop, window_free) {
+            memo.learn(m, config.latency, shape.window, total);
+        }
+        (total, histogram)
+    };
     SimOutcome::new(
         model,
         config.et,
         prepared.len as u64,
-        sequential_cycles(prepared, &config.latency),
+        sequential,
         u64::from(total),
         prepared.num_branches(),
         prepared.num_mispredicts(),
@@ -333,25 +393,47 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
     )
 }
 
+/// What one pass of [`run`] found.
+struct Run {
+    /// The last completion cycle.
+    total: u32,
+    /// Whether a chain of binding constraints with no window-entry edge
+    /// sets `total`, so no wider window changes it.
+    window_free: bool,
+    /// Mispredicts by tree level at resolution.
+    histogram: Vec<u64>,
+}
+
 /// The constrained models' single pass: each record's issue cycle is one
 /// `max` over data readiness, window entry, the penalties in force,
 /// branch serialization and the PE limit. Returns the last completion
-/// cycle and the resolve-level histogram.
+/// cycle, whether it is window-free, and the resolve-level histogram.
 ///
 /// `SERIAL`: a branch waits for the previous one to resolve. `PENALTIES`:
 /// mispredicts delay later instructions. `CD`: penalties end at the
 /// branch's control-dependence region end. `PE`: an explicit issue limit.
+///
+/// Every time `t` is held as `2t + f`, where `f = 1` when a chain of
+/// binding constraints with no window-entry edge sets `t`. Window entry
+/// enters with `f = 0`; data, serialization, penalty and floor inputs keep
+/// the flag of the time they came from; and a plain `max` prefers `f = 1`
+/// on a tie. A cycle's delta `d` adds `2d`, so the latency table holds
+/// `2(λ − 1)`. The encoding adds no operation to the per-record chain.
 fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool>(
     prepared: &PreparedTrace,
     config: &SimConfig,
     shape: &Shape,
-) -> (u32, Vec<u64>) {
+) -> Run {
     let window = shape.window;
     let mut pe = PeSchedule::new(config.max_pe.unwrap_or(u32::MAX));
 
-    let mut reg_time = [0u32; META_REG_SLOTS];
+    // Unwritten registers hold cycle 0 whatever the window: flag set.
+    let mut reg_time = [1u32; META_REG_SLOTS];
+    // Unwritten words read as cycle 0 without the flag, so the table
+    // stays a zeroed allocation; a load also reads two register slots,
+    // whose flagged cycle 0 wins the tie.
     let mut mem_time = vec![0u32; prepared.mem_words];
-    let table = latency_table(&config.latency);
+    let spans = latency_table(&config.latency).map(|lat| 2 * (lat - 1));
     let mem_override = prepared.mem_latency.as_deref();
     let mut reads = prepared.read_addrs.iter();
     let mut writes = prepared.write_addrs.iter();
@@ -364,8 +446,8 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
     // The cycle the current path entered the window, and the earliest
     // cycle any of its records may execute: the entry and every
     // restrictive penalty in force. Both change only at branches.
-    let mut entry = 1u32;
-    let mut floor = 1u32;
+    let mut entry = 2u32;
+    let mut floor = 2u32;
     let mut global_floor = 0u32;
     // Penalties not yet in force because their DEE path still covers the
     // current branch path, as a calendar of `(time, end_pos)` by the path
@@ -397,29 +479,30 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
             let addr = *reads.next().expect("read stream matches meta") as usize;
             ready = ready.max(mem_time[addr]);
         }
-        let lat = meta_latency(m, &table, mem_override, i);
-        let mut exec = (ready + 1).max(floor);
+        let span = meta_span(m, &spans, mem_override, i);
+        let mut exec = (ready + 2).max(floor);
         if CD {
             exec = exec.max(staircase.floor_at(pos));
         }
 
         let is_branch = m & META_IS_COND != 0;
         if SERIAL && is_branch {
-            exec = exec.max(prev_branch_exec + 1);
+            exec = exec.max(prev_branch_exec + 2);
         }
 
         // Explicit PE limit: greedy in-order issue into the first free
-        // slot at or after the earliest feasible cycle.
+        // slot at or after the earliest feasible cycle. The slot is a
+        // resource edge, so its flag is clear.
         if PE {
-            exec = pe.issue_at(exec);
+            exec = pe.issue_at(exec >> 1) << 1;
             if i % 4096 == 0 {
-                pe.prune_below(entry);
+                pe.prune_below(entry >> 1);
             }
         }
 
         // The instruction occupies its unit through `done`; consumers and
         // retirement see the completion time.
-        let done = exec + lat - 1;
+        let done = exec + span;
         reg_time[((m >> META_DST_SHIFT) & META_REG_MASK) as usize] = done;
         if m & META_HAS_WRITE != 0 {
             let addr = *writes.next().expect("write stream matches meta") as usize;
@@ -450,11 +533,12 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
             // branches resolve at the top of the tree, the tree moves
             // down" (§3.1); the DEE paths hang off the first h pending
             // branches. Serialized branches resolve in order, so at the
-            // root.
-            let level = if SERIAL || latest_resolve <= resolve {
+            // root. An encoded time is later than cycle `resolve >> 1`
+            // exactly when it exceeds `resolve | 1`.
+            let level = if SERIAL || latest_resolve <= resolve | 1 {
                 1
             } else {
-                1 + recent.iter().filter(|&&e| e > resolve).count() as u32
+                1 + recent.iter().filter(|&&e| e > resolve | 1).count() as u32
             };
             histogram[(level as usize - 1).min(LEVEL_HISTOGRAM_CAP - 1)] += 1;
             let cov = if level > shape.h {
@@ -468,7 +552,7 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
                 u32::MAX
             };
             let from_path = path + cov + 1;
-            calendar[(from_path & calendar_mask) as usize].push((resolve + 1, end_pos));
+            calendar[(from_path & calendar_mask) as usize].push((resolve + 2, end_pos));
         }
         if track_levels {
             if let Some(slot) = recent.get_mut(recent_slot) {
@@ -493,12 +577,18 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
             }
         }
         // Window entry: the tree covers `window` consecutive real paths.
+        // Entering is the one edge a wider window moves, so it clears the
+        // flag: `2(retire + 1) + 0`.
         if path >= window {
-            entry = retire[(path - window) as usize] + 1;
+            entry = (retire[(path - window) as usize] | 1) + 1;
         }
         floor = entry.max(global_floor);
     }
-    (total, histogram)
+    Run {
+        total: total >> 1,
+        window_free: total & 1 == 1,
+        histogram,
+    }
 }
 
 #[cfg(test)]
@@ -875,6 +965,41 @@ mod tests {
         }
         let unlimited = simulate(&prepared, &SimConfig::new(Model::DeeCdMf, 100));
         assert!(unlimited.cycles <= last);
+    }
+
+    #[test]
+    fn window_memo_answers_only_the_loops_it_covers() {
+        let w = dee_workloads::cc1::build(dee_workloads::Scale::Tiny);
+        let t = w.capture_trace().unwrap();
+        let prepared = prep(&w.program, &t);
+        let fresh = |config: &SimConfig| simulate(&prep(&w.program, &t), config);
+        // SP's plateau starts below 64 paths on cc1: that run is window-free.
+        let _ = simulate(&prepared, &SimConfig::new(Model::Sp, 64));
+        assert_eq!(prepared.window_memo_answers(), 0);
+        let wide = SimConfig::new(Model::Sp, 256);
+        // A DEE tree without a DEE region is SP's chain.
+        let chain = SimConfig::new(Model::Dee, 100).with_dee_shape(100, 0);
+        for config in [wide, chain] {
+            assert_eq!(simulate(&prepared, &config), fresh(&config), "{config:?}");
+        }
+        assert_eq!(prepared.window_memo_answers(), 2);
+        // Another loop, latency table, PE cap or DEE region runs.
+        for config in [
+            SimConfig::new(Model::SpCd, 256),
+            SimConfig::new(Model::SpCdMf, 256),
+            SimConfig::new(Model::Ee, 256),
+            wide.with_latency(LatencyModel::CLASSIC),
+            wide.with_max_pe(64),
+            SimConfig::new(Model::Dee, 100).with_dee_shape(90, 1),
+        ] {
+            assert_eq!(simulate(&prepared, &config), fresh(&config), "{config:?}");
+        }
+        assert_eq!(prepared.window_memo_answers(), 2);
+        // Memory latencies start the memo afresh.
+        let n = prepared.len();
+        let prepared = prepared.with_mem_latencies(vec![3; n]);
+        let _ = simulate(&prepared, &wide);
+        assert_eq!(prepared.window_memo_answers(), 0);
     }
 
     #[test]

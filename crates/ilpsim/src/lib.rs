@@ -102,9 +102,10 @@ pub use stats::{harmonic_mean, SimOutcome};
 /// Send/Sync audit (DESIGN.md §8): the sweep pool in `dee-bench` and the
 /// `/batch` fan-out in `dee-serve` share one [`PreparedTrace`] per workload
 /// across worker threads and move configs/outcomes between them. Every
-/// type here is plain owned data with no interior mutability —
-/// [`simulate`] takes `&PreparedTrace` and builds all mutable state
-/// locally — so these bounds hold structurally; this assertion turns an
+/// type here is plain owned data — [`simulate`] takes `&PreparedTrace`
+/// and builds its loop state locally — except the trace's window memo,
+/// which sits behind a `Mutex` and only ever holds what a run proved, so
+/// the order threads fill it in moves no result. This assertion turns an
 /// accidental `Rc`/`RefCell`/raw-pointer regression into a compile error
 /// rather than a data race.
 const _SEND_SYNC_AUDIT: () = {

@@ -7,10 +7,16 @@
 //! for all eight models and the Riseman–Foster experiment.
 //!
 //! * `seeded_generated_programs_agree`: per iteration, a seeded `dee-gen`
-//!   program of a few thousand records, all eight models and
-//!   `riseman_foster`, at an E_T from {1, 2, 3, 5, 8, 16, 32}, a PE limit
-//!   from {none, 1, 4}, unit or `CLASSIC` latencies, sometimes a
-//!   per-record memory latency vector and sometimes a DEE shape override.
+//!   program of a few thousand records. First every constrained model
+//!   sweeps E_T {1, 2, 3, 5, 8, 16, 32} on one `PreparedTrace`, ascending
+//!   and then descending, so its window memo answers the windows past a
+//!   saturated one; every cell, answered or run, must equal the
+//!   reference. When the iteration draws a memory latency vector, the
+//!   ascending sweep runs without it and the vector is attached before
+//!   the descending one, so a memo learned without it must not answer.
+//!   Then, on the same trace, all eight models and `riseman_foster` at an
+//!   E_T from that list, a PE limit from {none, 1, 4}, unit or `CLASSIC`
+//!   latencies and sometimes a DEE shape override.
 //! * `paper_workloads_agree_at_tiny`: the registry workloads at tiny over
 //!   a fixed grid.
 //! * `long_and_recursive_regions_agree`: a crafted listing whose `-CD`
@@ -48,6 +54,38 @@ fn assert_agree(fast: &SimOutcome, literal: &SimOutcome, label: &str) {
     );
 }
 
+/// Every constrained model at every E_T of [`ETS`], ascending, with the
+/// reference's outcome for each under `mem_latency`.
+fn window_sweep(
+    literal: &Reference,
+    mem_latency: Option<&[u32]>,
+    (p, latency): (f64, LatencyModel),
+) -> Vec<(SimConfig, SimOutcome)> {
+    Model::all_constrained()
+        .into_iter()
+        .flat_map(|model| ETS.map(|et| SimConfig::new(model, et)))
+        .map(|config| {
+            let config = config.with_p(p).with_latency(latency);
+            (config, literal.simulate(mem_latency, &config))
+        })
+        .collect()
+}
+
+/// Simulates each cell on `prepared`, in the order given.
+fn sweep_agrees<'a>(
+    prepared: &PreparedTrace,
+    cells: impl Iterator<Item = &'a (SimConfig, SimOutcome)>,
+    label: &str,
+) {
+    for (config, literal) in cells {
+        assert_agree(
+            &simulate(prepared, config),
+            literal,
+            &format!("{label}, window sweep: {config:?}"),
+        );
+    }
+}
+
 /// A random spec sized for a few thousand records.
 fn random_spec(rng: &mut Rng) -> GenSpec {
     GenSpec {
@@ -66,7 +104,7 @@ fn random_spec(rng: &mut Rng) -> GenSpec {
 fn seeded_generated_programs_agree() {
     let seed = env_u64("DEE_CHAOS_SEED", 42);
     let iters = env_u64("DEE_CHAOS_ITERS", 16);
-    let mut records = 0usize;
+    let (mut records, mut answers) = (0usize, 0u64);
     for it in 0..iters {
         let mut rng = Rng::new(seed ^ (it << 20) ^ 0x5eed);
         let spec = random_spec(&mut rng);
@@ -92,14 +130,29 @@ fn seeded_generated_programs_agree() {
                 .collect()
         });
         let mut prepared = PreparedTrace::new(program, trace);
-        if let Some(mem) = &mem_latency {
-            prepared = prepared.with_mem_latencies(mem.clone());
-        }
 
         let et = rng.pick(&ETS);
         let max_pe = rng.pick(&[None, Some(1), Some(4)]);
         let latency = rng.pick(&[LatencyModel::UNIT, LatencyModel::CLASSIC]);
         let p = rng.pick(&[0.9053, prepared.accuracy(), 0.6]);
+
+        let program_label = format!(
+            "seed {seed} iter {it} ({} records, spec `{}` seed {gen_seed})",
+            trace.len(),
+            spec.canonical()
+        );
+        let cells = window_sweep(&literal, None, (p, latency));
+        sweep_agrees(&prepared, cells.iter(), &program_label);
+        let cells = match &mem_latency {
+            Some(mem) => {
+                answers += prepared.window_memo_answers();
+                prepared = prepared.with_mem_latencies(mem.clone());
+                window_sweep(&literal, Some(mem), (p, latency))
+            }
+            None => cells,
+        };
+        sweep_agrees(&prepared, cells.iter().rev(), &program_label);
+
         for model in ALL_MODELS {
             let mut config = SimConfig::new(model, et).with_p(p).with_latency(latency);
             if let Some(pe) = max_pe {
@@ -113,17 +166,13 @@ fn seeded_generated_programs_agree() {
                 }
                 config = config.with_dee_shape(et - h * (h + 1) / 2, h);
             }
-            let label = format!(
-                "seed {seed} iter {it} ({} records, spec `{}` seed {gen_seed}): {config:?}",
-                trace.len(),
-                spec.canonical()
-            );
             assert_agree(
                 &simulate(&prepared, &config),
                 &literal.simulate(mem_latency.as_deref(), &config),
-                &label,
+                &format!("{program_label}: {config:?}"),
             );
         }
+        answers += prepared.window_memo_answers();
         let bypassed = rng.pick(&[0, 1, 2, 4, 8, u32::MAX]);
         assert_agree(
             &riseman_foster(&prepared, bypassed),
@@ -131,7 +180,14 @@ fn seeded_generated_programs_agree() {
             &format!("seed {seed} iter {it}: riseman_foster bypassed={bypassed}"),
         );
     }
-    eprintln!("reference fuzz: seed {seed}, {iters} programs, {records} records");
+    eprintln!(
+        "reference fuzz: seed {seed}, {iters} programs, {records} records, \
+         {answers} cells answered from the window memo"
+    );
+    assert!(
+        iters == 0 || answers > 0,
+        "the window sweeps reach the memo"
+    );
 }
 
 #[test]

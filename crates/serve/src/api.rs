@@ -15,7 +15,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dee_core::{StaticTree, TreeParams};
+use dee_core::{StaticTree, TreeParams, MAX_ET};
 use dee_ilpsim::{
     simulate, LatencyModel, Model, PreparedTrace, PreparedTraceBuilder, SimConfig, SimOutcome,
 };
@@ -34,11 +34,6 @@ use crate::metrics::Metrics;
 
 /// Dynamic-instruction budget for uploaded programs and workload traces.
 const STEP_LIMIT: u64 = 1_000_000_000;
-
-/// Largest accepted `et`. The static tree costs `O(et^1.5)` to build, so
-/// an unbounded value lets one request burn a worker for hours; 100 000
-/// already covers every sweep in the paper by two orders of magnitude.
-const MAX_ET: u64 = 100_000;
 
 /// A handler failure carrying the HTTP status to answer with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,7 +118,7 @@ fn u64_field(body: &Json, key: &str, default: u64) -> Result<u64, ApiError> {
 
 fn parse_et(body: &Json) -> Result<u32, ApiError> {
     let et = u64_field(body, "et", 100)?;
-    if et > MAX_ET {
+    if et > u64::from(MAX_ET) {
         return Err(ApiError::bad_request(format!(
             "`et` too large (max {MAX_ET})"
         )));
@@ -733,7 +728,7 @@ pub fn parse_batch(body: &Json) -> Result<Vec<BatchCell>, ApiError> {
                 let et = v.as_u64().ok_or_else(|| {
                     ApiError::bad_request("`ets` must hold non-negative integers")
                 })?;
-                if et > MAX_ET {
+                if et > u64::from(MAX_ET) {
                     return Err(ApiError::bad_request(format!(
                         "`et` too large (max {MAX_ET})"
                     )));

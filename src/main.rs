@@ -11,20 +11,22 @@
 //! dee trace <prog.s> -o <file> [--mem ..] capture a binary trace
 //! dee trace record <workload> --store DIR [--scale S] [--seed N]
 //!                  [--checkpoint-stride N]  publish an artifact (+ snapshots)
-//! dee trace info <file.dtrc>              container header/footer summary
-//! dee trace verify <file.dtrc>            full checksum + layout check
+//! dee trace info <file.dtrc>...           container header/footer summary
+//! dee trace verify <file.dtrc>...         full checksum + layout check
 //! dee trace ls --store DIR                list published artifacts
 //! dee trace gc --store DIR                sweep tmp/ + quarantine/
 //! dee snap ls --store DIR                 list published snapshots
-//! dee snap info <file.dsnp>               snapshot header summary
-//! dee snap verify <file.dsnp>             framing + layout check
+//! dee snap info <file.dsnp>...            snapshot header summary
+//! dee snap verify <file.dsnp>...          framing + layout check
 //! dee replay <prog.s> <file> [--model M] [--et N]  simulate a captured trace
 //! dee serve [--addr H:P] [--workers N] [--store DIR]  run the simulation server
 //! ```
 //!
 //! Programs are assembly text (see `dee_isa::parse`); initial memory cells
 //! are set with `--mem addr=value,addr=value,...`. Each command names the
-//! flags it reads, and any other flag is an error.
+//! flags it reads, and any other flag, or a stray argument, is an error.
+//! `--et` takes 1 to [`MAX_ET`] branch paths; `dee serve` requests share
+//! that upper bound.
 
 use std::process::ExitCode;
 
@@ -33,7 +35,7 @@ use dee::isa::parse::parse_program;
 use dee::isa::transform::{unroll_loops, UnrollConfig};
 use dee::isa::Program;
 use dee::levo::{Levo, LevoConfig};
-use dee::theory::{StaticTree, TreeParams};
+use dee::theory::{StaticTree, TreeParams, MAX_ET};
 use dee::vm::trace_program;
 
 fn main() -> ExitCode {
@@ -78,13 +80,13 @@ const USAGE: &str = "usage:
   dee trace <prog.s> -o <file> [--mem ..]   capture a binary trace
   dee trace record <workload> --store DIR [--scale tiny|small|medium|large]
             [--seed N] [--checkpoint-stride N]
-  dee trace info <file.dtrc>                container header/footer summary
-  dee trace verify <file.dtrc>              full checksum + layout check
+  dee trace info <file.dtrc>...             container header/footer summary
+  dee trace verify <file.dtrc>...           full checksum + layout check
   dee trace ls --store DIR                  list published artifacts
   dee trace gc --store DIR                  sweep tmp/ + quarantine/
   dee snap ls --store DIR                   list published snapshots
-  dee snap info <file.dsnp>                 snapshot header summary
-  dee snap verify <file.dsnp>               framing + layout check
+  dee snap info <file.dsnp>...              snapshot header summary
+  dee snap verify <file.dsnp>...            framing + layout check
   dee replay <prog.s> <file> [--model M] [--et N]
   dee serve [--addr HOST:PORT] [--workers N] [--cache-entries K] [--queue-capacity Q]
             [--read-budget-ms MS] [--chaos-seed SEED] [--store DIR]
@@ -137,7 +139,13 @@ fn parse_options(command: &str, accepts: &[&str], args: &[String]) -> Result<Opt
         json: false,
         deny_warnings: false,
     };
-    let unknown = |flag: &str| format!("unknown flag `{flag}` for `dee {command}`");
+    let unknown = |flag: &str| {
+        if flag.starts_with('-') {
+            format!("unknown flag `{flag}` for `dee {command}`")
+        } else {
+            format!("unexpected argument `{flag}` for `dee {command}`")
+        }
+    };
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         if !accepts.contains(&flag.as_str()) {
@@ -169,7 +177,14 @@ fn parse_options(command: &str, accepts: &[&str], args: &[String]) -> Result<Opt
                 }
             }
             "--model" => options.model = Some(value()?),
-            "--et" => options.et = value()?.parse().map_err(|_| "bad --et".to_string())?,
+            "--et" => {
+                let text = value()?;
+                options.et = text
+                    .parse()
+                    .ok()
+                    .filter(|et| (1..=MAX_ET).contains(et))
+                    .ok_or_else(|| format!("`--et` must be in 1..={MAX_ET}, not `{text}`"))?;
+            }
             "--dee-paths" => {
                 options.dee_paths = Some(
                     value()?
@@ -180,7 +195,15 @@ fn parse_options(command: &str, accepts: &[&str], args: &[String]) -> Result<Opt
             "--factor" => {
                 options.factor = value()?.parse().map_err(|_| "bad --factor".to_string())?
             }
-            "--p" => options.p = value()?.parse().map_err(|_| "bad --p".to_string())?,
+            "--p" => {
+                // The static tree's recurrences need p in [0.5, 1).
+                let text = value()?;
+                options.p = text
+                    .parse()
+                    .ok()
+                    .filter(|p| (0.5..1.0).contains(p))
+                    .ok_or_else(|| format!("`--p` must be in [0.5, 1), not `{text}`"))?;
+            }
             "-o" | "--output" => options.output = Some(value()?),
             "--addr" => options.addr = Some(value()?),
             "--workers" => {
@@ -444,88 +467,111 @@ fn snap_ls(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `dee snap info <file.dsnp>` — header-level summary (no parent
+/// The paths `dee <command>` reads: every argument before its first flag.
+/// It reads no flag, so any flag is refused before a file is opened.
+fn paths_of<'a>(command: &str, what: &str, args: &'a [String]) -> Result<&'a [String], String> {
+    let n = args.iter().take_while(|a| !a.starts_with('-')).count();
+    parse_options(command, &[], &args[n..])?;
+    if n == 0 {
+        return Err(format!("missing {what} path"));
+    }
+    Ok(&args[..n])
+}
+
+/// Runs `each` on every path, past any that fails, then fails with one
+/// error line per failed path.
+fn each_path(paths: &[String], each: impl Fn(&str) -> Result<(), String>) -> Result<(), String> {
+    let errors: Vec<String> = paths.iter().filter_map(|path| each(path).err()).collect();
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors.join("\nerror: "))
+    }
+}
+
+/// `dee snap info <file.dsnp>...` — header-level summary (no parent
 /// memory image needed).
 fn snap_info(args: &[String]) -> Result<(), String> {
-    let path = args.get(2).ok_or("missing snapshot path")?;
-    parse_options("snap info", &[], &args[3..])?;
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let info = dee::snap::Snapshot::info(&bytes)?;
-    println!("{path}:");
-    println!(
-        "  snapshot at record {} of parent {:016x} (trace format v{})",
-        info.record_index, info.parent_digest, info.trace_format_version
-    );
-    println!(
-        "  executed {}, {} output word(s), {} memory word(s), halted: {}",
-        info.executed, info.output_words, info.mem_words, info.halted
-    );
-    println!(
-        "  predictors: {}",
-        if info.predictors.is_empty() {
-            "(none)".to_string()
-        } else {
-            info.predictors.join(", ")
-        }
-    );
-    Ok(())
+    each_path(paths_of("snap info", "snapshot", &args[2..])?, |path| {
+        let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+        let info = dee::snap::Snapshot::info(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        println!("{path}:");
+        println!(
+            "  snapshot at record {} of parent {:016x} (trace format v{})",
+            info.record_index, info.parent_digest, info.trace_format_version
+        );
+        println!(
+            "  executed {}, {} output word(s), {} memory word(s), halted: {}",
+            info.executed, info.output_words, info.mem_words, info.halted
+        );
+        println!(
+            "  predictors: {}",
+            if info.predictors.is_empty() {
+                "(none)".to_string()
+            } else {
+                info.predictors.join(", ")
+            }
+        );
+        Ok(())
+    })
 }
 
-/// `dee snap verify <file.dsnp>` — magic, trailing checksum, and full
+/// `dee snap verify <file.dsnp>...` — magic, trailing checksum, and full
 /// section-layout check.
 fn snap_verify(args: &[String]) -> Result<(), String> {
-    let path = args.get(2).ok_or("missing snapshot path")?;
-    parse_options("snap verify", &[], &args[3..])?;
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    dee::store::verify_snapshot_bytes(&bytes)?;
-    let info = dee::snap::Snapshot::info(&bytes)?;
-    println!(
-        "{path}: ok — record {}, parent {:016x}, {} byte(s)",
-        info.record_index,
-        info.parent_digest,
-        bytes.len()
-    );
-    Ok(())
+    each_path(paths_of("snap verify", "snapshot", &args[2..])?, |path| {
+        let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+        let info = dee::store::verify_snapshot_bytes(&bytes)
+            .and_then(|()| dee::snap::Snapshot::info(&bytes))
+            .map_err(|e| format!("{path}: {e}"))?;
+        println!(
+            "{path}: ok — record {}, parent {:016x}, {} byte(s)",
+            info.record_index,
+            info.parent_digest,
+            bytes.len()
+        );
+        Ok(())
+    })
 }
 
-/// `dee trace info <file.dtrc>` — footer-index summary without scanning
+/// `dee trace info <file.dtrc>...` — footer-index summary without scanning
 /// the payload.
 fn trace_info(args: &[String]) -> Result<(), String> {
-    let path = args.get(2).ok_or("missing artifact path")?;
-    parse_options("trace info", &[], &args[3..])?;
-    let info = dee::store::info_file(std::path::Path::new(path))?;
-    let encoded = info.total_encoded();
-    println!("{path}:");
-    println!(
-        "  container v{}, trace format v{}, chunk size {} bytes",
-        info.header.container_version, info.header.trace_format_version, info.header.chunk_size
-    );
-    println!(
-        "  {} chunk(s), {} raw bytes, {} encoded ({:.1}% of raw), {} file bytes",
-        info.chunks.len(),
-        info.total_raw,
-        encoded,
-        if info.total_raw == 0 {
-            100.0
-        } else {
-            100.0 * encoded as f64 / info.total_raw as f64
-        },
-        info.file_len,
-    );
-    Ok(())
+    each_path(paths_of("trace info", "artifact", &args[2..])?, |path| {
+        let info = dee::store::info_file(std::path::Path::new(path))?;
+        let encoded = info.total_encoded();
+        println!("{path}:");
+        println!(
+            "  container v{}, trace format v{}, chunk size {} bytes",
+            info.header.container_version, info.header.trace_format_version, info.header.chunk_size
+        );
+        println!(
+            "  {} chunk(s), {} raw bytes, {} encoded ({:.1}% of raw), {} file bytes",
+            info.chunks.len(),
+            info.total_raw,
+            encoded,
+            if info.total_raw == 0 {
+                100.0
+            } else {
+                100.0 * encoded as f64 / info.total_raw as f64
+            },
+            info.file_len,
+        );
+        Ok(())
+    })
 }
 
-/// `dee trace verify <file.dtrc>` — stream the whole artifact through
-/// every checksum and layout check.
+/// `dee trace verify <file.dtrc>...` — stream each artifact through every
+/// checksum and layout check.
 fn trace_verify(args: &[String]) -> Result<(), String> {
-    let path = args.get(2).ok_or("missing artifact path")?;
-    parse_options("trace verify", &[], &args[3..])?;
-    let report = dee::store::verify_file(std::path::Path::new(path))?;
-    println!(
-        "{path}: ok — {} records, {} output words, output checksum {:016x}",
-        report.records, report.output_words, report.output_checksum
-    );
-    Ok(())
+    each_path(paths_of("trace verify", "artifact", &args[2..])?, |path| {
+        let report = dee::store::verify_file(std::path::Path::new(path))?;
+        println!(
+            "{path}: ok — {} records, {} output words, output checksum {:016x}",
+            report.records, report.output_words, report.output_checksum
+        );
+        Ok(())
+    })
 }
 
 /// `dee trace ls --store DIR` — list published artifacts.
@@ -1083,24 +1129,36 @@ mod tests {
             "trace", "record", "xlisp", "--store", &store, "--scale", "tiny",
         ]))
         .unwrap();
+        run(&strings(&[
+            "trace", "record", "compress", "--store", &store, "--scale", "tiny",
+        ]))
+        .unwrap();
         run(&strings(&["trace", "ls", "--store", &store])).unwrap();
-        let artifact = std::fs::read_dir(&dir)
+        let mut artifacts: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .map(|e| e.path())
-            .find(|p| p.extension().is_some_and(|e| e == "dtrc"))
-            .expect("record published a .dtrc artifact");
-        let artifact_s = artifact.to_string_lossy().to_string();
-        run(&strings(&["trace", "info", &artifact_s])).unwrap();
-        run(&strings(&["trace", "verify", &artifact_s])).unwrap();
+            .filter(|p| p.extension().is_some_and(|e| e == "dtrc"))
+            .map(|p| p.to_string_lossy().to_string())
+            .collect();
+        artifacts.sort();
+        assert_eq!(artifacts.len(), 2, "two artifacts in one store");
+        // info and verify read every path they are given.
+        for command in ["info", "verify"] {
+            let mut args = vec!["trace", command];
+            args.extend(artifacts.iter().map(String::as_str));
+            run(&strings(&args)).unwrap();
+        }
         run(&strings(&["trace", "gc", "--store", &store])).unwrap();
-        // A corrupted artifact fails verification with a typed error
-        // rather than a panic.
-        let mut bytes = std::fs::read(&artifact).unwrap();
+        // A corrupted second artifact fails verification with a typed
+        // error naming it, rather than a panic or a silent skip.
+        let mut bytes = std::fs::read(&artifacts[1]).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
-        std::fs::write(&artifact, bytes).unwrap();
-        assert!(run(&strings(&["trace", "verify", &artifact_s])).is_err());
+        std::fs::write(&artifacts[1], bytes).unwrap();
+        let err = run(&strings(&["trace", "verify", &artifacts[0], &artifacts[1]])).unwrap_err();
+        assert!(err.starts_with(&artifacts[1]), "{err}");
+        run(&strings(&["trace", "verify", &artifacts[0]])).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1146,15 +1204,30 @@ mod tests {
         // compress/tiny runs 8417 records, so stride 2000 cuts
         // snapshots at 2000, 4000, 6000, and 8000.
         assert_eq!(snapshots.len(), 4);
-        let snapshot_s = snapshots[0].to_string_lossy().to_string();
-        run(&strings(&["snap", "info", &snapshot_s])).unwrap();
-        run(&strings(&["snap", "verify", &snapshot_s])).unwrap();
-        // A corrupted snapshot fails verification with a typed error.
+        let snapshot_s: Vec<String> = snapshots
+            .iter()
+            .map(|p| p.to_string_lossy().to_string())
+            .collect();
+        // info and verify read every path they are given.
+        for command in ["info", "verify"] {
+            let mut args = vec!["snap", command];
+            args.extend(snapshot_s.iter().map(String::as_str));
+            run(&strings(&args)).unwrap();
+        }
+        // A corrupted snapshot fails verification with a typed error, even
+        // after a good one.
         let mut bytes = std::fs::read(&snapshots[0]).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&snapshots[0], bytes).unwrap();
-        assert!(run(&strings(&["snap", "verify", &snapshot_s])).is_err());
+        let err = run(&strings(&[
+            "snap",
+            "verify",
+            &snapshot_s[1],
+            &snapshot_s[0],
+        ]))
+        .unwrap_err();
+        assert!(err.starts_with(&snapshot_s[0]), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1213,6 +1286,46 @@ mod tests {
         ] {
             refuses(command, rest, flag);
         }
+    }
+
+    #[test]
+    fn a_stray_argument_is_named_as_an_argument() {
+        for (command, rest, stray) in [
+            ("tree", "extra", "extra"),
+            ("sim", "p.s extra", "extra"),
+            ("trace ls", "--store d extra", "extra"),
+            ("snap ls", "x.dsnp", "x.dsnp"),
+            ("gen sweep", "--et 8 9", "9"),
+        ] {
+            let line = format!("{command} {rest}");
+            let err = run(&strings(&line.split_whitespace().collect::<Vec<_>>())).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unexpected argument `{stray}` for `dee {command}`")
+            );
+        }
+    }
+
+    #[test]
+    fn et_and_p_outside_their_ranges_are_refused() {
+        for (args, message) in [
+            ("tree --et 0", "`--et` must be in 1..=100000, not `0`"),
+            (
+                "tree --et 100001",
+                "`--et` must be in 1..=100000, not `100001`",
+            ),
+            (
+                "gen sweep --et -3",
+                "`--et` must be in 1..=100000, not `-3`",
+            ),
+            ("sim p.s --et x", "`--et` must be in 1..=100000, not `x`"),
+            ("tree --p 1", "`--p` must be in [0.5, 1), not `1`"),
+            ("tree --p 0.2", "`--p` must be in [0.5, 1), not `0.2`"),
+        ] {
+            let err = run(&strings(&args.split_whitespace().collect::<Vec<_>>())).unwrap_err();
+            assert_eq!(err, message, "dee {args}");
+        }
+        run(&strings(&["tree", "--et", "100000"])).unwrap();
     }
 
     #[test]

@@ -108,3 +108,28 @@ fn a_flag_the_command_does_not_read_is_an_error() {
         assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
     }
 }
+
+#[test]
+fn et_outside_one_to_max_et_is_a_usage_error() {
+    let gcd = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/asm/gcd.s");
+    for args in [
+        &["sim", gcd, "--et", "0"][..],
+        &["replay", gcd, "/nonexistent/gcd.trace", "--et", "0"],
+        &["gen", "sweep", "--et", "0"],
+        &["tree", "--et", "0"],
+        &["tree", "--et", "100001"],
+    ] {
+        let out = dee(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr
+                .lines()
+                .next()
+                .is_some_and(|l| { l.starts_with("error: `--et` must be in 1..=100000, not ") }),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+}
