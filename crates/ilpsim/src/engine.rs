@@ -12,8 +12,8 @@ use dee_core::{ee_depth, StaticTree, TreeParams};
 
 use crate::model::{LatencyModel, Model, SimConfig};
 use crate::prepare::{
-    InstrClass, PreparedTrace, META_CLASS_SHIFT, META_DST_SHIFT, META_HAS_READ, META_HAS_WRITE,
-    META_IS_COND, META_MISPREDICT, META_REG_MASK, META_REG_SLOTS, META_SRC2_SHIFT,
+    InstrClass, PreparedTrace, RunKey, META_CLASS_SHIFT, META_DST_SHIFT, META_HAS_READ,
+    META_HAS_WRITE, META_IS_COND, META_MISPREDICT, META_REG_MASK, META_REG_SLOTS, META_SRC2_SHIFT,
 };
 use crate::stats::SimOutcome;
 
@@ -289,15 +289,6 @@ fn simulate_oracle(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
     )
 }
 
-/// The per-call constants of one constrained model: its window depth and
-/// DEE region height.
-struct Shape {
-    /// Window depth in real branch paths.
-    window: u32,
-    /// DEE paths hang off the first `h` pending branches (0 = none).
-    h: u32,
-}
-
 /// The longest sequential run a constrained model accepts. No record
 /// completes later than on the sequential machine, and the loop's largest
 /// encoded time, a penalty raised by the last branch, is `2(S + 1) + 1`
@@ -308,79 +299,68 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
     let model = config.model;
     // Window depth in real branch paths, and the DEE coverage shape
     // (l, h): from the §3.1 heuristic, or an explicit ablation override.
-    let shape = match model {
-        Model::Ee => Shape {
-            window: ee_depth(config.et).max(1),
-            h: 0,
-        },
-        Model::Dee | Model::DeeCd | Model::DeeCdMf => {
-            let (window, h) = config.dee_shape.unwrap_or_else(|| {
-                let tree = StaticTree::build(TreeParams {
-                    p: config.p.clamp(0.5, 0.9999),
-                    et: config.et,
-                });
-                (tree.mainline_len(), tree.h_dee())
+    let (window, h) = match model {
+        Model::Ee => (ee_depth(config.et).max(1), 0),
+        Model::Dee | Model::DeeCd | Model::DeeCdMf => config.dee_shape.unwrap_or_else(|| {
+            let tree = StaticTree::build(TreeParams {
+                p: config.p.clamp(0.5, 0.9999),
+                et: config.et,
             });
-            Shape { window, h }
-        }
-        _ => Shape {
-            window: config.et,
-            h: 0,
-        },
+            (tree.mainline_len(), tree.h_dee())
+        }),
+        _ => (config.et, 0),
     };
     let sequential = sequential_cycles(prepared, &config.latency);
     assert!(
         sequential <= MAX_SEQUENTIAL_CYCLES,
         "{sequential} sequential cycles exceed the simulator's {MAX_SEQUENTIAL_CYCLES}"
     );
+    // The loop, named by the model that owns it (a DEE tree runs SP's
+    // loops with its main line as the window), and everything it reads
+    // besides the trace: the memo's key (DESIGN §4, item 9).
+    let key = RunKey {
+        loop_model: match model {
+            Model::Dee => Model::Sp,
+            Model::DeeCd => Model::SpCd,
+            Model::DeeCdMf => Model::SpCdMf,
+            other => other,
+        },
+        latency: config.latency,
+        max_pe: config.max_pe,
+        window,
+        h,
+    };
     // One monomorphised loop per model class, chosen once per call: EE
     // charges no penalties (its tree covers both sides of every branch);
     // the non-MF models serialize branches; the -CD models bound
     // penalties by region.
-    type Loop = fn(&PreparedTrace, &SimConfig, &Shape) -> Run;
+    type Loop = fn(&PreparedTrace, &RunKey) -> Run;
     let pe = config.max_pe.is_some();
-    let run: Loop = match model {
+    let run: Loop = match key.loop_model {
         Model::Ee if pe => run::<false, false, false, true>,
         Model::Ee => run::<false, false, false, false>,
-        Model::Sp | Model::Dee if pe => run::<true, true, false, true>,
-        Model::Sp | Model::Dee => run::<true, true, false, false>,
-        Model::SpCd | Model::DeeCd if pe => run::<true, true, true, true>,
-        Model::SpCd | Model::DeeCd => run::<true, true, true, false>,
-        Model::SpCdMf | Model::DeeCdMf if pe => run::<false, true, true, true>,
-        Model::SpCdMf | Model::DeeCdMf => run::<false, true, true, false>,
-        Model::Oracle => unreachable!("the oracle has its own loop"),
-    };
-    // The loops whose every wider window repeats a window-free run (DESIGN
-    // §4, item 9), named by the model that owns each: their histogram is
-    // fixed by the trace (serialized branches resolve at the root, EE
-    // charges no penalties), a tree with h = 0 is SP's chain, and greedy
-    // PE issue is not monotone in the window.
-    let memo_loop = match model {
-        _ if pe || shape.h > 0 => None,
-        Model::Ee | Model::Sp | Model::SpCd => Some(model),
-        Model::Dee => Some(Model::Sp),
-        Model::DeeCd => Some(Model::SpCd),
-        Model::SpCdMf | Model::DeeCdMf | Model::Oracle => None,
+        Model::Sp if pe => run::<true, true, false, true>,
+        Model::Sp => run::<true, true, false, false>,
+        Model::SpCd if pe => run::<true, true, true, true>,
+        Model::SpCd => run::<true, true, true, false>,
+        Model::SpCdMf if pe => run::<false, true, true, true>,
+        Model::SpCdMf => run::<false, true, true, false>,
+        _ => unreachable!("every constrained model runs one of four loops"),
     };
     let memo = &prepared.window_memo;
-    let answered = memo_loop.and_then(|m| memo.answer(m, config.latency, shape.window));
-    let (total, histogram) = if let Some(total) = answered {
-        let mut histogram = vec![0; LEVEL_HISTOGRAM_CAP];
-        if memo_loop != Some(Model::Ee) {
-            histogram[0] = prepared.num_mispredicts();
-        }
-        (total, histogram)
-    } else {
+    let (total, histogram) = memo.answer(&key).unwrap_or_else(|| {
         let Run {
             total,
             window_free,
             histogram,
-        } = run(prepared, config, &shape);
-        if let (Some(m), true) = (memo_loop, window_free) {
-            memo.learn(m, config.latency, shape.window, total);
-        }
+        } = run(prepared, &key);
+        // Greedy PE issue is not monotone in the window, and no rule
+        // covers a multiple-flow tree with a DEE region: those runs
+        // answer only an identical call.
+        let proves = !(pe || (key.loop_model == Model::SpCdMf && h > 0));
+        memo.learn(key, total, window_free && proves, &histogram);
         (total, histogram)
-    };
+    });
     SimOutcome::new(
         model,
         config.et,
@@ -398,7 +378,8 @@ struct Run {
     /// The last completion cycle.
     total: u32,
     /// Whether a chain of binding constraints with no window-entry edge
-    /// sets `total`, so no wider window changes it.
+    /// sets `total` (with a DEE region, no penalty edge either) and, in a
+    /// multiple-flow loop, every branch's resolve time.
     window_free: bool,
     /// Mispredicts by tree level at resolution.
     histogram: Vec<u64>,
@@ -415,17 +396,18 @@ struct Run {
 ///
 /// Every time `t` is held as `2t + f`, where `f = 1` when a chain of
 /// binding constraints with no window-entry edge sets `t`. Window entry
-/// enters with `f = 0`; data, serialization, penalty and floor inputs keep
-/// the flag of the time they came from; and a plain `max` prefers `f = 1`
-/// on a tie. A cycle's delta `d` adds `2d`, so the latency table holds
-/// `2(λ − 1)`. The encoding adds no operation to the per-record chain.
+/// enters with `f = 0`; data, serialization and floor inputs keep the
+/// flag of the time they came from, and so do penalties when the tree
+/// has no DEE region (with one, a penalty enters with `f = 0`, since a
+/// deeper region moves it); a plain `max` prefers `f = 1` on a tie. A
+/// cycle's delta `d` adds `2d`, so the latency table holds `2(λ − 1)`.
+/// The encoding adds no operation to the per-record chain.
 fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool>(
     prepared: &PreparedTrace,
-    config: &SimConfig,
-    shape: &Shape,
+    key: &RunKey,
 ) -> Run {
-    let window = shape.window;
-    let mut pe = PeSchedule::new(config.max_pe.unwrap_or(u32::MAX));
+    let window = key.window;
+    let mut pe = PeSchedule::new(key.max_pe.unwrap_or(u32::MAX));
 
     // Unwritten registers hold cycle 0 whatever the window: flag set.
     let mut reg_time = [1u32; META_REG_SLOTS];
@@ -433,7 +415,7 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
     // stays a zeroed allocation; a load also reads two register slots,
     // whose flagged cycle 0 wins the tie.
     let mut mem_time = vec![0u32; prepared.mem_words];
-    let spans = latency_table(&config.latency).map(|lat| 2 * (lat - 1));
+    let spans = latency_table(&key.latency).map(|lat| 2 * (lat - 1));
     let mem_override = prepared.mem_latency.as_deref();
     let mut reads = prepared.read_addrs.iter();
     let mut writes = prepared.write_addrs.iter();
@@ -442,7 +424,13 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
     // conditional branch, reproducing the prepare-time numbering without
     // streaming a separate per-record column.
     let mut path = 0u32;
-    let mut retire: Vec<u32> = Vec::with_capacity(prepared.num_paths as usize);
+    // Retire times of the latest paths, as a ring indexed by path: window
+    // entry reads the one `window` paths back, so a ring of more than
+    // `window` slots never overwrites it first. A window past the trace's
+    // paths never reads it.
+    let retire_mask = (window.min(prepared.num_paths) as usize + 1).next_power_of_two() - 1;
+    let mut retire = vec![0u32; retire_mask + 1];
+    let mut last_retire = 0u32;
     // The cycle the current path entered the window, and the earliest
     // cycle any of its records may execute: the entry and every
     // restrictive penalty in force. Both change only at branches.
@@ -453,8 +441,9 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
     // current branch path, as a calendar of `(time, end_pos)` by the path
     // they start at: a penalty raised on path `p` starts within `h + 1`
     // paths, so a ring of at least that many slots never collides.
-    let calendar_mask = (shape.h + 1).next_power_of_two() - 1;
+    let calendar_mask = (key.h + 1).next_power_of_two() - 1;
     let mut calendar: Vec<Vec<(u32, u32)>> = vec![Vec::new(); calendar_mask as usize + 1];
+    let pen_mask = if key.h > 0 { !1 } else { !0 };
     let mut staircase = Staircase::default();
     let mut prev_branch_exec = 0u32;
     let mut path_max_exec = 0u32;
@@ -464,11 +453,14 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
     // branches before the current one, as a ring, and the latest resolve
     // time of every older branch. Branches older than the window resolved
     // before the current path entered it, so a mispredict resolving at or
-    // after that latest time is at the tree root.
+    // after that latest time is at the tree root. The levels repeat at a
+    // wider window when every resolve time does, so the flags of all
+    // resolves are ANDed into `resolves_free`.
     let track_levels = PENALTIES && !SERIAL;
     let mut recent = vec![0u32; if track_levels { window as usize - 1 } else { 0 }];
     let mut recent_slot = 0usize;
     let mut latest_resolve = 0u32;
+    let mut resolves_free = 1u32;
 
     for (i, &m) in prepared.meta.iter().enumerate() {
         let pos = i as u32;
@@ -523,8 +515,8 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
             prev_branch_exec = resolve;
         }
         // This path retires once fully executed, in order.
-        let retire_time = retire.last().copied().unwrap_or(0).max(path_max_exec);
-        retire.push(retire_time);
+        last_retire = last_retire.max(path_max_exec);
+        retire[path as usize & retire_mask] = last_retire;
         path_max_exec = 0;
 
         if PENALTIES && m & META_MISPREDICT != 0 {
@@ -541,18 +533,15 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
                 1 + recent.iter().filter(|&&e| e > resolve | 1).count() as u32
             };
             histogram[(level as usize - 1).min(LEVEL_HISTOGRAM_CAP - 1)] += 1;
-            let cov = if level > shape.h {
-                0
-            } else {
-                shape.h - level + 1
-            };
+            let cov = if level > key.h { 0 } else { key.h - level + 1 };
             let end_pos = if CD {
                 *cd_end.next().expect("one region end per mispredict")
             } else {
                 u32::MAX
             };
             let from_path = path + cov + 1;
-            calendar[(from_path & calendar_mask) as usize].push((resolve + 2, end_pos));
+            calendar[(from_path & calendar_mask) as usize]
+                .push(((resolve + 2) & pen_mask, end_pos));
         }
         if track_levels {
             if let Some(slot) = recent.get_mut(recent_slot) {
@@ -563,6 +552,7 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
                 }
             }
             latest_resolve = latest_resolve.max(resolve);
+            resolves_free &= resolve;
         }
         path += 1;
 
@@ -580,13 +570,13 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
         // Entering is the one edge a wider window moves, so it clears the
         // flag: `2(retire + 1) + 0`.
         if path >= window {
-            entry = (retire[(path - window) as usize] | 1) + 1;
+            entry = (retire[(path - window) as usize & retire_mask] | 1) + 1;
         }
         floor = entry.max(global_floor);
     }
     Run {
         total: total >> 1,
-        window_free: total & 1 == 1,
+        window_free: total & resolves_free & 1 == 1,
         histogram,
     }
 }
@@ -594,6 +584,7 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemoAnswers;
     use dee_isa::{Assembler, Program, Reg};
     use dee_vm::{trace_program, Trace};
 
@@ -969,37 +960,79 @@ mod tests {
 
     #[test]
     fn window_memo_answers_only_the_loops_it_covers() {
-        let w = dee_workloads::cc1::build(dee_workloads::Scale::Tiny);
+        let w = dee_workloads::xlisp::build(dee_workloads::Scale::Tiny);
         let t = w.capture_trace().unwrap();
         let prepared = prep(&w.program, &t);
         let fresh = |config: &SimConfig| simulate(&prep(&w.program, &t), config);
-        // SP's plateau starts below 64 paths on cc1: that run is window-free.
-        let _ = simulate(&prepared, &SimConfig::new(Model::Sp, 64));
-        assert_eq!(prepared.window_memo_answers(), 0);
-        let wide = SimConfig::new(Model::Sp, 256);
-        // A DEE tree without a DEE region is SP's chain.
-        let chain = SimConfig::new(Model::Dee, 100).with_dee_shape(100, 0);
-        for config in [wide, chain] {
-            assert_eq!(simulate(&prepared, &config), fresh(&config), "{config:?}");
-        }
-        assert_eq!(prepared.window_memo_answers(), 2);
-        // Another loop, latency table, PE cap or DEE region runs.
-        for config in [
-            SimConfig::new(Model::SpCd, 256),
+        let dee = |model: Model, l: u32, h: u32| {
+            SimConfig::new(model, l + h * (h + 1) / 2).with_dee_shape(l, h)
+        };
+        let asks = |configs: &[SimConfig]| {
+            for config in configs {
+                assert_eq!(simulate(&prepared, config), fresh(config), "{config:?}");
+            }
+            prepared.window_memo_answers()
+        };
+        // On xlisp these runs are free: SP's and SP-CD-MF's plateaus start
+        // below 64 paths, and a DEE tree (17, 5) is already bound by data
+        // and serialization alone. A capped run and a multiple-flow tree
+        // with a DEE region are kept for an identical call only.
+        let capped = SimConfig::new(Model::Sp, 64).with_max_pe(64);
+        let learned = [
+            SimConfig::new(Model::Sp, 64),
+            dee(Model::Dee, 17, 5),
+            SimConfig::new(Model::SpCdMf, 64),
+            dee(Model::DeeCdMf, 17, 5),
+            capped,
+        ];
+        assert_eq!(asks(&learned), MemoAnswers::default());
+        let answered = MemoAnswers {
+            identical: 3,
+            wider_window: 2,
+            deeper_tree: 2,
+            multiple_flow: 2,
+        };
+        let answers = asks(&[
+            // A repeat, and a tree that is SP-CD-MF's 64-path chain.
+            capped,
+            dee(Model::DeeCdMf, 17, 5),
+            dee(Model::DeeCdMf, 64, 0),
+            // Wider windows of a loop without a DEE region.
+            SimConfig::new(Model::Sp, 256),
+            dee(Model::Dee, 100, 0),
+            // Longer main lines and deeper regions of a serialized tree.
+            dee(Model::Dee, 19, 9),
+            dee(Model::Dee, 17, 6),
+            // A wider window of the multiple-flow loop, histogram included.
             SimConfig::new(Model::SpCdMf, 256),
+            dee(Model::DeeCdMf, 100, 0),
+        ]);
+        assert_eq!(answers, answered);
+        // Another loop, latency table or PE cap runs, and so do a narrower
+        // window and a tree that no learned tree dominates.
+        let answers = asks(&[
+            SimConfig::new(Model::Sp, 32),
+            SimConfig::new(Model::SpCd, 256),
             SimConfig::new(Model::Ee, 256),
-            wide.with_latency(LatencyModel::CLASSIC),
-            wide.with_max_pe(64),
-            SimConfig::new(Model::Dee, 100).with_dee_shape(90, 1),
-        ] {
-            assert_eq!(simulate(&prepared, &config), fresh(&config), "{config:?}");
+            SimConfig::new(Model::Sp, 256).with_latency(LatencyModel::CLASSIC),
+            SimConfig::new(Model::Sp, 256).with_max_pe(64),
+            dee(Model::Dee, 16, 9),
+            dee(Model::Dee, 90, 4),
+            dee(Model::Dee, 100, 1),
+            dee(Model::DeeCd, 19, 9),
+            dee(Model::DeeCdMf, 19, 9),
+        ]);
+        assert_eq!(answers, answered);
+        // The memo keeps the latest 64 runs: the oldest are forgotten.
+        for pe in 1..=64 {
+            let _ = simulate(&prepared, &SimConfig::new(Model::Ee, 8).with_max_pe(pe));
         }
-        assert_eq!(prepared.window_memo_answers(), 2);
+        assert_eq!(asks(&[SimConfig::new(Model::Sp, 256)]), answered);
         // Memory latencies start the memo afresh.
         let n = prepared.len();
         let prepared = prepared.with_mem_latencies(vec![3; n]);
-        let _ = simulate(&prepared, &wide);
-        assert_eq!(prepared.window_memo_answers(), 0);
+        let _ = simulate(&prepared, &SimConfig::new(Model::Sp, 64));
+        assert_eq!(prepared.window_memo_answers(), MemoAnswers::default());
     }
 
     #[test]

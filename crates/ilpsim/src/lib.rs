@@ -95,7 +95,7 @@ mod stats;
 
 pub use engine::{riseman_foster, simulate};
 pub use model::{LatencyModel, Model, SimConfig};
-pub use prepare::{PreparedTrace, PreparedTraceBuilder};
+pub use prepare::{MemoAnswers, PreparedTrace, PreparedTraceBuilder};
 pub use probs::{DirectionPredictor, ProbSource};
 pub use stats::{harmonic_mean, SimOutcome};
 
@@ -104,8 +104,8 @@ pub use stats::{harmonic_mean, SimOutcome};
 /// across worker threads and move configs/outcomes between them. Every
 /// type here is plain owned data — [`simulate`] takes `&PreparedTrace`
 /// and builds its loop state locally — except the trace's window memo,
-/// which sits behind a `Mutex` and only ever holds what a run proved, so
-/// the order threads fill it in moves no result. This assertion turns an
+/// which sits behind a `Mutex` and only ever holds finished runs and what
+/// they proved, so the order threads fill it in moves no result. This assertion turns an
 /// accidental `Rc`/`RefCell`/raw-pointer regression into a compile error
 /// rather than a data race.
 const _SEND_SYNC_AUDIT: () = {

@@ -1,3 +1,4 @@
+use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dee_isa::cfg::Cfg;
@@ -62,8 +63,8 @@ pub struct PreparedTrace {
     num_mispredicts: u64,
     /// Measured accuracy of the predictor used for the flags.
     accuracy: f64,
-    /// The windows past which a loop's cycles stop changing, learned by
-    /// [`simulate`](crate::simulate) as it runs.
+    /// The runs [`simulate`](crate::simulate) made on this trace, which
+    /// answer the later calls they prove.
     pub(crate) window_memo: WindowMemo,
 }
 
@@ -178,95 +179,147 @@ impl PreparedTrace {
     }
 
     /// How many [`simulate`](crate::simulate) calls on this trace were
-    /// answered from its window memo instead of running the model's loop
-    /// (DESIGN.md §4, item 9).
+    /// answered from its window memo instead of running the model's loop,
+    /// by the rule that answered each (DESIGN.md §4, item 9).
     #[must_use]
-    pub fn window_memo_answers(&self) -> u64 {
+    pub fn window_memo_answers(&self) -> MemoAnswers {
         self.window_memo.lock().answers
     }
 }
 
-/// What the constrained runs on one trace learned about wider windows.
-///
-/// A run whose last completion comes through a chain of constraints with
-/// no window-entry edge takes the same cycles under every wider window,
-/// provided nothing else in the loop varies with the schedule (see
-/// `simulate_constrained`). The memo keeps, per loop and latency table,
-/// the narrowest such window and its cycles, so that window and every
-/// wider one are answered without running: a sweep past saturation, and
-/// also a repeat of a cell already asked. A few entries suffice: a sweep
-/// varies the window, not the loop or the latencies.
-#[derive(Debug, Default)]
-pub(crate) struct WindowMemo(Mutex<Saturation>);
-
-#[derive(Clone, Debug, Default)]
-struct Saturation {
-    entries: Vec<Saturated>,
-    /// Calls answered from `entries`.
-    answers: u64,
+/// Calls the window memo answered, by rule (DESIGN.md §4, item 9).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoAnswers {
+    /// A run of the same loop, latency table, PE cap, window and DEE
+    /// height was already made on the trace.
+    pub identical: u64,
+    /// A serialized or EE loop without a DEE region ran window-free at a
+    /// window no wider.
+    pub wider_window: u64,
+    /// A serialized loop ran free of window and penalty edges under a
+    /// tree `(l, h)` with `0 < h`, and the call's tree has `l′ ≥ l` and
+    /// `h′ ≥ h`.
+    pub deeper_tree: u64,
+    /// SP-CD-MF's loop without a DEE region ran at a window no wider with
+    /// its last completion and every resolve window-free, so the
+    /// resolve-level histogram repeats too.
+    pub multiple_flow: u64,
 }
 
-/// One loop under one latency table: from `window` on, it takes `cycles`.
-#[derive(Clone, Copy, Debug)]
-struct Saturated {
-    /// The loop, named by the model that owns it (`Ee`, `Sp` or `SpCd`).
-    loop_model: Model,
-    latency: LatencyModel,
-    /// The narrowest window whose run was free of window edges.
-    window: u32,
+impl MemoAnswers {
+    /// Calls answered by any rule.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.identical + self.wider_window + self.deeper_tree + self.multiple_flow
+    }
+}
+
+/// The runs already made on one trace, so that a call they prove is
+/// answered without running.
+///
+/// Every constrained run is kept, keyed by everything its loop reads, and
+/// answers an identical call. A run that was free (see `run` in the
+/// engine) also answers every call whose cycles and histogram it proves
+/// equal: the same loop at a wider window, and with a DEE region also a
+/// deeper one (DESIGN.md §4, item 9). So a sweep past saturation and a
+/// repeated cell are both answered. The memo keeps the latest
+/// [`CAPACITY`](Self::CAPACITY) runs: a trace's sweep asks fewer cells.
+#[derive(Debug, Default)]
+pub(crate) struct WindowMemo(Mutex<Memo>);
+
+#[derive(Clone, Debug, Default)]
+struct Memo {
+    runs: VecDeque<MemoRun>,
+    answers: MemoAnswers,
+}
+
+/// A constrained run, as the memo keys it: the loop and everything it
+/// reads besides the trace.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) struct RunKey {
+    /// The loop, named by the model that owns it (`Ee`, `Sp`, `SpCd` or
+    /// `SpCdMf`).
+    pub(crate) loop_model: Model,
+    pub(crate) latency: LatencyModel,
+    pub(crate) max_pe: Option<u32>,
+    /// Window depth in real branch paths.
+    pub(crate) window: u32,
+    /// DEE paths hang off the first `h` pending branches (0 = none).
+    pub(crate) h: u32,
+}
+
+/// One run and what it found.
+#[derive(Clone, Debug)]
+struct MemoRun {
+    key: RunKey,
     cycles: u32,
+    /// Whether the run proves the calls [`MemoRun::proves`] names.
+    free: bool,
+    histogram: Vec<u64>,
+}
+
+impl MemoRun {
+    /// Whether this free run fixes `key`'s cycles and histogram: the same
+    /// loop at a window no narrower, and a DEE region no shallower, but
+    /// never a tree with a DEE region from one without.
+    fn proves(&self, key: &RunKey) -> bool {
+        let run = &self.key;
+        self.free
+            && run.loop_model == key.loop_model
+            && run.latency == key.latency
+            && run.max_pe == key.max_pe
+            && run.window <= key.window
+            && run.h <= key.h
+            && (run.h > 0 || key.h == 0)
+    }
 }
 
 impl WindowMemo {
-    /// Loops times latency tables worth remembering at once.
-    const CAPACITY: usize = 8;
+    /// Runs remembered per trace; the oldest goes first.
+    const CAPACITY: usize = 64;
 
-    fn lock(&self) -> MutexGuard<'_, Saturation> {
-        // Every update is a single push or store, so a panic elsewhere
-        // never leaves the entries half-written.
+    fn lock(&self) -> MutexGuard<'_, Memo> {
+        // Every update is a single push, pop or store, so a panic
+        // elsewhere never leaves the runs half-written.
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The cycles of `loop_model`'s loop under `latency` at `window`, when
-    /// a window no wider already ran free of window edges.
-    pub(crate) fn answer(
-        &self,
-        loop_model: Model,
-        latency: LatencyModel,
-        window: u32,
-    ) -> Option<u32> {
+    /// The cycles and histogram of the run `key` names, when a run already
+    /// made is that run or proves it.
+    pub(crate) fn answer(&self, key: &RunKey) -> Option<(u32, Vec<u64>)> {
         let mut memo = self.lock();
-        let cycles = memo
-            .entries
-            .iter()
-            .find(|e| e.loop_model == loop_model && e.latency == latency && e.window <= window)?
-            .cycles;
-        memo.answers += 1;
-        Some(cycles)
+        let Memo { runs, answers } = &mut *memo;
+        let (run, rule) = match runs.iter().find(|r| r.key == *key) {
+            Some(run) => (run, &mut answers.identical),
+            None => {
+                let run = runs.iter().find(|r| r.proves(key))?;
+                let rule = if key.loop_model == Model::SpCdMf {
+                    &mut answers.multiple_flow
+                } else if key.h > 0 {
+                    &mut answers.deeper_tree
+                } else {
+                    &mut answers.wider_window
+                };
+                (run, rule)
+            }
+        };
+        *rule += 1;
+        Some((run.cycles, run.histogram.clone()))
     }
 
-    /// Records that `loop_model`'s loop under `latency` ran free of window
-    /// edges at `window`, taking `cycles`.
-    pub(crate) fn learn(&self, loop_model: Model, latency: LatencyModel, window: u32, cycles: u32) {
+    /// Records a run of `key` that took `cycles`; `free` when it proves
+    /// the calls [`MemoRun::proves`] names.
+    pub(crate) fn learn(&self, key: RunKey, cycles: u32, free: bool, histogram: &[u64]) {
         let mut memo = self.lock();
-        let entries = &mut memo.entries;
-        let full = entries.len() == Self::CAPACITY;
-        match entries
-            .iter_mut()
-            .find(|e| e.loop_model == loop_model && e.latency == latency)
-        {
-            Some(entry) => {
-                debug_assert_eq!(entry.cycles, cycles, "saturated windows agree");
-                entry.window = entry.window.min(window);
-            }
-            None if !full => entries.push(Saturated {
-                loop_model,
-                latency,
-                window,
-                cycles,
-            }),
-            None => {}
+        if memo.runs.len() == Self::CAPACITY {
+            memo.runs.pop_front();
         }
+        memo.runs.push_back(MemoRun {
+            key,
+            cycles,
+            free,
+            histogram: histogram.to_vec(),
+        });
     }
 }
 

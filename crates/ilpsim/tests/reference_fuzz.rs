@@ -7,16 +7,21 @@
 //! for all eight models and the Riseman–Foster experiment.
 //!
 //! * `seeded_generated_programs_agree`: per iteration, a seeded `dee-gen`
-//!   program of a few thousand records. First every constrained model
-//!   sweeps E_T {1, 2, 3, 5, 8, 16, 32} on one `PreparedTrace`, ascending
-//!   and then descending, so its window memo answers the windows past a
-//!   saturated one; every cell, answered or run, must equal the
-//!   reference. When the iteration draws a memory latency vector, the
-//!   ascending sweep runs without it and the vector is attached before
-//!   the descending one, so a memo learned without it must not answer.
-//!   Then, on the same trace, all eight models and `riseman_foster` at an
-//!   E_T from that list, a PE limit from {none, 1, 4}, unit or `CLASSIC`
-//!   latencies and sometimes a DEE shape override.
+//!   program of a few thousand records. First two sweeps run ascending on
+//!   one `PreparedTrace`: every constrained model over E_T {1, 2, 3, 5, 8,
+//!   16, 32}, then DEE and DEE-CD over explicit `(l, h)` shapes in
+//!   dominance order, so the window memo answers what the runs before
+//!   prove (DESIGN.md §4, item 9). Then both sweeps run descending on a
+//!   trace whose memo is empty, where a rule that answers a narrower
+//!   window or a shallower DEE region would answer wrongly. Every cell,
+//!   answered or run, must equal the reference. When the iteration draws a
+//!   memory latency vector, the ascending sweeps run without it and the
+//!   descending trace is the ascending one with the vector attached, so a
+//!   memo learned without it must not answer.
+//!   Then, on the descending trace, all eight models and `riseman_foster`
+//!   at an E_T from that list, a PE limit from {none, 1, 4}, unit or
+//!   `CLASSIC` latencies and sometimes a DEE shape override. Each of the
+//!   memo's rules must answer some cell over the run.
 //! * `paper_workloads_agree_at_tiny`: the registry workloads at tiny over
 //!   a fixed grid.
 //! * `long_and_recursive_regions_agree`: a crafted listing whose `-CD`
@@ -29,12 +34,17 @@
 use dee_gen::{generate, GenSpec};
 use dee_ilpsim::reference::Reference;
 use dee_ilpsim::{
-    riseman_foster, simulate, LatencyModel, Model, PreparedTrace, SimConfig, SimOutcome,
+    riseman_foster, simulate, LatencyModel, MemoAnswers, Model, PreparedTrace, SimConfig,
+    SimOutcome,
 };
 use dee_rng::{env_u64, Rng};
 use dee_workloads::{Scale, WorkloadRegistry};
 
 const ETS: [u32; 7] = [1, 2, 3, 5, 8, 16, 32];
+
+/// DEE main-line lengths and region heights of the shape sweep.
+const MAINLINES: [u32; 6] = [1, 2, 3, 5, 8, 16];
+const HEIGHTS: [u32; 4] = [0, 1, 2, 4];
 
 const ALL_MODELS: [Model; 8] = [
     Model::Ee,
@@ -54,21 +64,39 @@ fn assert_agree(fast: &SimOutcome, literal: &SimOutcome, label: &str) {
     );
 }
 
-/// Every constrained model at every E_T of [`ETS`], ascending, with the
-/// reference's outcome for each under `mem_latency`.
+/// Every constrained model at every E_T of [`ETS`], ascending, then DEE
+/// and DEE-CD over every shape of [`HEIGHTS`] × [`MAINLINES`], each height
+/// ascending through the main lines before the next, so every shape comes
+/// after the shapes it dominates. Each with the reference's outcome under
+/// `mem_latency`.
 fn window_sweep(
     literal: &Reference,
     mem_latency: Option<&[u32]>,
     (p, latency): (f64, LatencyModel),
 ) -> Vec<(SimConfig, SimOutcome)> {
-    Model::all_constrained()
+    let windows = Model::all_constrained()
         .into_iter()
-        .flat_map(|model| ETS.map(|et| SimConfig::new(model, et)))
+        .flat_map(|model| ETS.map(|et| SimConfig::new(model, et)));
+    let shapes = [Model::Dee, Model::DeeCd].into_iter().flat_map(|model| {
+        HEIGHTS.into_iter().flat_map(move |h| {
+            MAINLINES.map(|l| SimConfig::new(model, l + h * (h + 1) / 2).with_dee_shape(l, h))
+        })
+    });
+    windows
+        .chain(shapes)
         .map(|config| {
             let config = config.with_p(p).with_latency(latency);
             (config, literal.simulate(mem_latency, &config))
         })
         .collect()
+}
+
+/// Adds `more` to `sum`, rule by rule.
+fn add_answers(sum: &mut MemoAnswers, more: MemoAnswers) {
+    sum.identical += more.identical;
+    sum.wider_window += more.wider_window;
+    sum.deeper_tree += more.deeper_tree;
+    sum.multiple_flow += more.multiple_flow;
 }
 
 /// Simulates each cell on `prepared`, in the order given.
@@ -104,7 +132,7 @@ fn random_spec(rng: &mut Rng) -> GenSpec {
 fn seeded_generated_programs_agree() {
     let seed = env_u64("DEE_CHAOS_SEED", 42);
     let iters = env_u64("DEE_CHAOS_ITERS", 16);
-    let (mut records, mut answers) = (0usize, 0u64);
+    let (mut records, mut answers) = (0usize, MemoAnswers::default());
     for it in 0..iters {
         let mut rng = Rng::new(seed ^ (it << 20) ^ 0x5eed);
         let spec = random_spec(&mut rng);
@@ -129,12 +157,12 @@ fn seeded_generated_programs_agree() {
                 })
                 .collect()
         });
-        let mut prepared = PreparedTrace::new(program, trace);
+        let ascending = PreparedTrace::new(program, trace);
 
         let et = rng.pick(&ETS);
         let max_pe = rng.pick(&[None, Some(1), Some(4)]);
         let latency = rng.pick(&[LatencyModel::UNIT, LatencyModel::CLASSIC]);
-        let p = rng.pick(&[0.9053, prepared.accuracy(), 0.6]);
+        let p = rng.pick(&[0.9053, ascending.accuracy(), 0.6]);
 
         let program_label = format!(
             "seed {seed} iter {it} ({} records, spec `{}` seed {gen_seed})",
@@ -142,14 +170,15 @@ fn seeded_generated_programs_agree() {
             spec.canonical()
         );
         let cells = window_sweep(&literal, None, (p, latency));
-        sweep_agrees(&prepared, cells.iter(), &program_label);
-        let cells = match &mem_latency {
-            Some(mem) => {
-                answers += prepared.window_memo_answers();
-                prepared = prepared.with_mem_latencies(mem.clone());
-                window_sweep(&literal, Some(mem), (p, latency))
-            }
-            None => cells,
+        sweep_agrees(&ascending, cells.iter(), &program_label);
+        add_answers(&mut answers, ascending.window_memo_answers());
+        // Descending, only the runs of this sweep can answer.
+        let (prepared, cells) = match &mem_latency {
+            Some(mem) => (
+                ascending.with_mem_latencies(mem.clone()),
+                window_sweep(&literal, Some(mem), (p, latency)),
+            ),
+            None => (PreparedTrace::new(program, trace), cells),
         };
         sweep_agrees(&prepared, cells.iter().rev(), &program_label);
 
@@ -172,7 +201,7 @@ fn seeded_generated_programs_agree() {
                 &format!("{program_label}: {config:?}"),
             );
         }
-        answers += prepared.window_memo_answers();
+        add_answers(&mut answers, prepared.window_memo_answers());
         let bypassed = rng.pick(&[0, 1, 2, 4, 8, u32::MAX]);
         assert_agree(
             &riseman_foster(&prepared, bypassed),
@@ -182,11 +211,20 @@ fn seeded_generated_programs_agree() {
     }
     eprintln!(
         "reference fuzz: seed {seed}, {iters} programs, {records} records, \
-         {answers} cells answered from the window memo"
+         cells answered from the window memo: {answers:?}"
     );
+    let MemoAnswers {
+        identical,
+        wider_window,
+        deeper_tree,
+        multiple_flow,
+    } = answers;
     assert!(
-        iters == 0 || answers > 0,
-        "the window sweeps reach the memo"
+        iters == 0
+            || [identical, wider_window, deeper_tree, multiple_flow]
+                .iter()
+                .all(|&n| n > 0),
+        "the sweeps reach every rule of the window memo: {answers:?}"
     );
 }
 
