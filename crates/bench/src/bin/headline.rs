@@ -40,12 +40,7 @@ fn main() {
     eprintln!("simulating...");
     let prepared = sweep.prepare();
     let grid = sweep.grid("headline", &POINTS, |&(model, et), b| {
-        let config = if model == Model::Oracle {
-            SimConfig::new(Model::Oracle, 0)
-        } else {
-            SimConfig::new(model, et).with_p(p)
-        };
-        simulate(&prepared[b], &config).speedup()
+        simulate(&prepared[b], &SimConfig::new(model, et).with_p(p)).speedup()
     });
     let hm_at = |point: usize| harmonic_mean(&grid[point]);
 

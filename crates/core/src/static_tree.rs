@@ -29,10 +29,10 @@
 //! below 16 branch paths for `p ≈ 0.905`.
 
 /// The largest branch-path budget `E_T` the front ends accept (`dee-serve`
-/// requests and the `dee` CLI). The static tree costs `O(E_T^1.5)` to
-/// build, so an unbounded value lets one request burn a worker for hours;
-/// 100 000 already covers every sweep in the paper by two orders of
-/// magnitude.
+/// requests and the `dee` CLI). The static tree's shape search costs
+/// `O(E_T^1.5)` additions over `O(E_T)` memory, so an unbounded value
+/// lets one request burn a worker for hours; 100 000 already covers every
+/// sweep in the paper by two orders of magnitude.
 pub const MAX_ET: u32 = 100_000;
 
 /// Inputs to the static tree heuristic.
@@ -117,14 +117,23 @@ impl StaticTree {
         let TreeParams { p, et } = params;
         assert!((0.5..1.0).contains(&p), "p must be in [0.5, 1)");
         assert!(et >= 1, "at least one branch path resource required");
+        // `p^k`, and the main line's sum `p + p² + … + p^l` for every `l`,
+        // each added in the order a per-candidate sum would add it, so a
+        // candidate's total costs only its DEE region's O(h²) terms.
+        let pow: Vec<f64> = (0..=et).map(|k| p.powi(k as i32)).collect();
+        let mainline: Vec<f64> = pow
+            .iter()
+            .skip(1)
+            .scan(0.0, |sum, &pk| {
+                *sum += pk;
+                Some(*sum)
+            })
+            .collect();
         let triangle_cp = |l: u32, h: u32| -> f64 {
-            let mut total = 0.0;
-            for k in 1..=l {
-                total += p.powi(k as i32);
-            }
+            let mut total = mainline[l as usize - 1];
             for k in 1..=h {
                 for j in 0..=(h - k) {
-                    total += (1.0 - p) * p.powi((k - 1 + j) as i32);
+                    total += (1.0 - p) * pow[(k - 1 + j) as usize];
                 }
             }
             total
@@ -368,6 +377,91 @@ mod tests {
             assert!(t.total_paths() <= et);
         }
         assert!(last_h > 0);
+    }
+
+    /// `StaticTree::build`'s shape search with every candidate's main line
+    /// summed afresh from `p^1`: the reference the tabulated sums must
+    /// match bit for bit, so both pick the same `(l, h)`.
+    fn resummed_shape(p: f64, et: u32) -> (u32, u32) {
+        let triangle_cp = |l: u32, h: u32| -> f64 {
+            let mut total = 0.0;
+            for k in 1..=l {
+                total += p.powi(k as i32);
+            }
+            for k in 1..=h {
+                for j in 0..=(h - k) {
+                    total += (1.0 - p) * p.powi((k - 1 + j) as i32);
+                }
+            }
+            total
+        };
+        let (mut best, mut best_cp) = ((et, 0), triangle_cp(et, 0));
+        let mut h = 1u32;
+        while h * (h + 1) / 2 + h < et {
+            let l = et - h * (h + 1) / 2;
+            let cp = triangle_cp(l, h);
+            if cp > best_cp {
+                (best, best_cp) = ((l, h), cp);
+            }
+            h += 1;
+        }
+        best
+    }
+
+    /// A grid of accuracies, then the suite's characteristic accuracy (the
+    /// harmonic mean of the 2-bit counter's accuracy over the five paper
+    /// workloads) at tiny, small and medium, which shapes `fig5`'s trees.
+    const SHAPE_PS: [f64; 14] = [
+        0.5,
+        0.6,
+        0.7,
+        0.8,
+        0.85,
+        0.858,
+        0.9,
+        0.9053,
+        0.95,
+        0.99,
+        0.9999,
+        0.8375666664665858,
+        0.8561885699124765,
+        0.857882825314949,
+    ];
+
+    fn assert_resummed_shape(p: f64, et: u32) {
+        let tree = StaticTree::build(TreeParams { p, et });
+        assert_eq!(
+            (tree.mainline_len(), tree.h_dee()),
+            resummed_shape(p, et),
+            "p={p} et={et}"
+        );
+    }
+
+    #[test]
+    fn tabulated_sums_pick_the_resummed_shape() {
+        for p in SHAPE_PS {
+            for et in 1..=300 {
+                assert_resummed_shape(p, et);
+            }
+        }
+    }
+
+    /// The same up to [`MAX_ET`], E_T halving from it down to 300. The
+    /// reference costs `O(E_T^1.5)` `powi` calls a build (seconds at
+    /// `MAX_ET`), so this runs in release:
+    /// `cargo test --release -p dee-core --lib -- --ignored`.
+    #[test]
+    #[ignore = "seconds per reference build at MAX_ET; run in release"]
+    fn tabulated_sums_pick_the_resummed_shape_up_to_max_et() {
+        let mut ets = vec![MAX_ET];
+        while ets[ets.len() - 1] > 300 {
+            ets.push(ets[ets.len() - 1] / 2);
+        }
+        for p in SHAPE_PS {
+            for &et in &ets {
+                assert_resummed_shape(p, et);
+            }
+        }
     }
 
     #[test]

@@ -58,35 +58,6 @@ impl Staircase {
     }
 }
 
-/// Runs one model over a prepared trace.
-///
-/// # Example
-///
-/// ```
-/// use dee_ilpsim::{simulate, Model, PreparedTrace, SimConfig};
-/// use dee_workloads::{compress, Scale};
-///
-/// let w = compress::build(Scale::Tiny);
-/// let trace = w.capture_trace().expect("runs");
-/// let prepared = PreparedTrace::new(&w.program, &trace);
-/// let outcome = simulate(&prepared, &SimConfig::new(Model::DeeCdMf, 64));
-/// assert!(outcome.speedup() >= 1.0);
-/// ```
-///
-/// # Panics
-///
-/// Panics when a constrained model's sequential machine would take more
-/// than 2^31 − 2 cycles: its times keep a flag in their low bit, leaving
-/// 31 bits of cycles (DESIGN.md §4, item 9).
-#[must_use]
-pub fn simulate(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
-    if config.model == Model::Oracle {
-        simulate_oracle(prepared, config)
-    } else {
-        simulate_constrained(prepared, config)
-    }
-}
-
 /// The latency of an instruction of `class` under `latency`.
 pub(crate) fn latency_of(latency: &LatencyModel, class: InstrClass) -> u32 {
     match class {
@@ -103,21 +74,9 @@ fn latency_table(latency: &LatencyModel) -> [u32; 4] {
     [latency.alu, latency.mul_div, latency.mem, latency.branch]
 }
 
-/// Latency of record `i` with packed meta `m`: the attached memory-system
-/// latency when present (for memory records), else the class latency.
-#[inline]
-fn meta_latency(m: u32, table: &[u32; 4], mem_override: Option<&[u32]>, i: usize) -> u32 {
-    if m & (META_HAS_READ | META_HAS_WRITE) != 0 {
-        if let Some(mem) = mem_override {
-            return mem[i].max(1);
-        }
-    }
-    table[(m >> META_CLASS_SHIFT) as usize & 3]
-}
-
 /// Record `i`'s completion offset in [`run`]'s encoding, `2(λ − 1)`:
 /// `spans` holds it per class, and an attached memory-system latency
-/// overrides it for memory records (as in [`meta_latency`]).
+/// overrides it for memory records.
 #[inline]
 fn meta_span(m: u32, spans: &[u32; 4], mem_override: Option<&[u32]>, i: usize) -> u32 {
     if m & (META_HAS_READ | META_HAS_WRITE) != 0 {
@@ -137,8 +96,14 @@ fn sequential_cycles(prepared: &PreparedTrace, latency: &LatencyModel) -> u64 {
         return prepared
             .meta
             .iter()
-            .enumerate()
-            .map(|(i, &m)| u64::from(meta_latency(m, &table, Some(mem), i)))
+            .zip(mem)
+            .map(|(&m, &lat)| {
+                u64::from(if m & (META_HAS_READ | META_HAS_WRITE) != 0 {
+                    lat.max(1)
+                } else {
+                    table[(m >> META_CLASS_SHIFT) as usize & 3]
+                })
+            })
             .sum();
     }
     [
@@ -247,68 +212,55 @@ pub fn riseman_foster(prepared: &PreparedTrace, bypassed: u32) -> SimOutcome {
     )
 }
 
-/// Data-flow limit: unit latency, register renaming, memory flow deps,
-/// branches impose nothing (EE with unlimited resources).
-fn simulate_oracle(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
-    let n = prepared.len;
-    // Availability times: the last cycle the producer occupies; consumers
-    // issue the cycle after.
-    let mut reg_time = [0u32; META_REG_SLOTS];
-    let mut mem_time = vec![0u32; prepared.mem_words];
-    let table = latency_table(&config.latency);
-    let mem_override = prepared.mem_latency.as_deref();
-    let mut reads = prepared.read_addrs.iter();
-    let mut writes = prepared.write_addrs.iter();
-    let mut total = 0u32;
-    for (i, &m) in prepared.meta.iter().enumerate() {
-        let lat = meta_latency(m, &table, mem_override, i);
-        let mut ready = reg_time[(m & META_REG_MASK) as usize]
-            .max(reg_time[((m >> META_SRC2_SHIFT) & META_REG_MASK) as usize]);
-        if m & META_HAS_READ != 0 {
-            let addr = *reads.next().expect("read stream matches meta") as usize;
-            ready = ready.max(mem_time[addr]);
-        }
-        let exec = ready + 1;
-        let done = exec + lat - 1;
-        reg_time[((m >> META_DST_SHIFT) & META_REG_MASK) as usize] = done;
-        if m & META_HAS_WRITE != 0 {
-            let addr = *writes.next().expect("write stream matches meta") as usize;
-            mem_time[addr] = done;
-        }
-        total = total.max(done);
-    }
-    SimOutcome::new(
-        Model::Oracle,
-        0,
-        n as u64,
-        sequential_cycles(prepared, &config.latency),
-        u64::from(total),
-        prepared.num_branches(),
-        prepared.num_mispredicts(),
-        vec![0; LEVEL_HISTOGRAM_CAP],
-    )
-}
-
-/// The longest sequential run a constrained model accepts. No record
-/// completes later than on the sequential machine, and the loop's largest
-/// encoded time, a penalty raised by the last branch, is `2(S + 1) + 1`
-/// for `S` sequential cycles, so this keeps every time inside a `u32`.
+/// The longest sequential run [`simulate`] accepts. No record completes
+/// later than on the sequential machine, and the loop's largest encoded
+/// time, a penalty raised by the last branch, is `2(S + 1) + 1` for `S`
+/// sequential cycles, so this keeps every time inside a `u32`.
 pub(crate) const MAX_SEQUENTIAL_CYCLES: u64 = (1 << 31) - 2;
 
-fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
+/// Runs one model over a prepared trace.
+///
+/// # Example
+///
+/// ```
+/// use dee_ilpsim::{simulate, Model, PreparedTrace, SimConfig};
+/// use dee_workloads::{compress, Scale};
+///
+/// let w = compress::build(Scale::Tiny);
+/// let trace = w.capture_trace().expect("runs");
+/// let prepared = PreparedTrace::new(&w.program, &trace);
+/// let outcome = simulate(&prepared, &SimConfig::new(Model::DeeCdMf, 64));
+/// assert!(outcome.speedup() >= 1.0);
+/// ```
+///
+/// # Panics
+///
+/// Panics when the sequential machine would take more than 2^31 − 2
+/// cycles: times keep a flag in their low bit, leaving 31 bits of cycles
+/// (DESIGN.md §4, item 9).
+#[must_use]
+pub fn simulate(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
     let model = config.model;
+    // The oracle is EE with unlimited resources (§5.2): it reads no E_T
+    // and no PE cap, and reports E_T 0.
+    let (et, max_pe) = if model == Model::Oracle {
+        (0, None)
+    } else {
+        (config.et, config.max_pe)
+    };
     // Window depth in real branch paths, and the DEE coverage shape
     // (l, h): from the §3.1 heuristic, or an explicit ablation override.
     let (window, h) = match model {
-        Model::Ee => (ee_depth(config.et).max(1), 0),
+        Model::Oracle => (u32::MAX, 0),
+        Model::Ee => (ee_depth(et).max(1), 0),
         Model::Dee | Model::DeeCd | Model::DeeCdMf => config.dee_shape.unwrap_or_else(|| {
             let tree = StaticTree::build(TreeParams {
                 p: config.p.clamp(0.5, 0.9999),
-                et: config.et,
+                et,
             });
             (tree.mainline_len(), tree.h_dee())
         }),
-        _ => (config.et, 0),
+        _ => (et, 0),
     };
     let sequential = sequential_cycles(prepared, &config.latency);
     assert!(
@@ -316,17 +268,19 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
         "{sequential} sequential cycles exceed the simulator's {MAX_SEQUENTIAL_CYCLES}"
     );
     // The loop, named by the model that owns it (a DEE tree runs SP's
-    // loops with its main line as the window), and everything it reads
-    // besides the trace: the memo's key (DESIGN §4, item 9).
+    // loops with its main line as the window, the oracle EE's with no
+    // window), and everything it reads besides the trace: the memo's key
+    // (DESIGN §4, item 9).
     let key = RunKey {
         loop_model: match model {
+            Model::Oracle => Model::Ee,
             Model::Dee => Model::Sp,
             Model::DeeCd => Model::SpCd,
             Model::DeeCdMf => Model::SpCdMf,
             other => other,
         },
         latency: config.latency,
-        max_pe: config.max_pe,
+        max_pe,
         window,
         h,
     };
@@ -335,7 +289,7 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
     // the non-MF models serialize branches; the -CD models bound
     // penalties by region.
     type Loop = fn(&PreparedTrace, &RunKey) -> Run;
-    let pe = config.max_pe.is_some();
+    let pe = max_pe.is_some();
     let run: Loop = match key.loop_model {
         Model::Ee if pe => run::<false, false, false, true>,
         Model::Ee => run::<false, false, false, false>,
@@ -345,7 +299,7 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
         Model::SpCd => run::<true, true, true, false>,
         Model::SpCdMf if pe => run::<false, true, true, true>,
         Model::SpCdMf => run::<false, true, true, false>,
-        _ => unreachable!("every constrained model runs one of four loops"),
+        _ => unreachable!("every model runs one of four loops"),
     };
     let memo = &prepared.window_memo;
     let (total, histogram) = memo.answer(&key).unwrap_or_else(|| {
@@ -363,7 +317,7 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
     });
     SimOutcome::new(
         model,
-        config.et,
+        et,
         prepared.len as u64,
         sequential,
         u64::from(total),
@@ -385,7 +339,7 @@ struct Run {
     histogram: Vec<u64>,
 }
 
-/// The constrained models' single pass: each record's issue cycle is one
+/// Every model's single pass: each record's issue cycle is one
 /// `max` over data readiness, window entry, the penalties in force,
 /// branch serialization and the PE limit. Returns the last completion
 /// cycle, whether it is window-free, and the resolve-level histogram.
@@ -427,8 +381,13 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
     // Retire times of the latest paths, as a ring indexed by path: window
     // entry reads the one `window` paths back, so a ring of more than
     // `window` slots never overwrites it first. A window past the trace's
-    // paths never reads it.
-    let retire_mask = (window.min(prepared.num_paths) as usize + 1).next_power_of_two() - 1;
+    // paths never reads it, so one slot does.
+    let slots = if window < prepared.num_paths {
+        window as usize + 1
+    } else {
+        1
+    };
+    let retire_mask = slots.next_power_of_two() - 1;
     let mut retire = vec![0u32; retire_mask + 1];
     let mut last_retire = 0u32;
     // The cycle the current path entered the window, and the earliest
@@ -559,11 +518,13 @@ fn run<const SERIAL: bool, const PENALTIES: bool, const CD: bool, const PE: bool
         // Penalties whose DEE coverage ends here come into force: a
         // restrictive one holds every later record, a -CD one until its
         // region ends.
-        for (time, end_pos) in calendar[(path & calendar_mask) as usize].drain(..) {
-            if end_pos == u32::MAX {
-                global_floor = global_floor.max(time);
-            } else if end_pos > pos + 1 {
-                staircase.insert(end_pos, time);
+        if PENALTIES {
+            for (time, end_pos) in calendar[(path & calendar_mask) as usize].drain(..) {
+                if end_pos == u32::MAX {
+                    global_floor = global_floor.max(time);
+                } else if end_pos > pos + 1 {
+                    staircase.insert(end_pos, time);
+                }
             }
         }
         // Window entry: the tree covers `window` consecutive real paths.
@@ -976,25 +937,33 @@ mod tests {
         // On xlisp these runs are free: SP's and SP-CD-MF's plateaus start
         // below 64 paths, and a DEE tree (17, 5) is already bound by data
         // and serialization alone. A capped run and a multiple-flow tree
-        // with a DEE region are kept for an identical call only.
+        // with a DEE region are kept for an identical call only, and the
+        // oracle's run, EE's loop with no window, proves no finite window.
         let capped = SimConfig::new(Model::Sp, 64).with_max_pe(64);
+        let oracle = SimConfig::new(Model::Oracle, 0);
         let learned = [
             SimConfig::new(Model::Sp, 64),
             dee(Model::Dee, 17, 5),
             SimConfig::new(Model::SpCdMf, 64),
             dee(Model::DeeCdMf, 17, 5),
             capped,
+            oracle,
         ];
         assert_eq!(asks(&learned), MemoAnswers::default());
+        // The oracle reads no E_T and no PE cap: any of them is its run.
+        let oracle_capped = SimConfig::new(Model::Oracle, 256).with_max_pe(4);
+        assert_eq!(fresh(&oracle_capped), fresh(&oracle));
         let answered = MemoAnswers {
-            identical: 3,
+            identical: 5,
             wider_window: 2,
             deeper_tree: 2,
             multiple_flow: 2,
         };
         let answers = asks(&[
-            // A repeat, and a tree that is SP-CD-MF's 64-path chain.
+            // Repeats, and a tree that is SP-CD-MF's 64-path chain.
             capped,
+            oracle,
+            oracle_capped,
             dee(Model::DeeCdMf, 17, 5),
             dee(Model::DeeCdMf, 64, 0),
             // Wider windows of a loop without a DEE region.
@@ -1009,10 +978,12 @@ mod tests {
         ]);
         assert_eq!(answers, answered);
         // Another loop, latency table or PE cap runs, and so do a narrower
-        // window and a tree that no learned tree dominates.
+        // window (EE's against the oracle's) and a tree that no learned
+        // tree dominates.
         let answers = asks(&[
             SimConfig::new(Model::Sp, 32),
             SimConfig::new(Model::SpCd, 256),
+            SimConfig::new(Model::Ee, 8),
             SimConfig::new(Model::Ee, 256),
             SimConfig::new(Model::Sp, 256).with_latency(LatencyModel::CLASSIC),
             SimConfig::new(Model::Sp, 256).with_max_pe(64),
@@ -1033,6 +1004,34 @@ mod tests {
         let prepared = prepared.with_mem_latencies(vec![3; n]);
         let _ = simulate(&prepared, &SimConfig::new(Model::Sp, 64));
         assert_eq!(prepared.window_memo_answers(), MemoAnswers::default());
+        // With no branch there is no window edge, so an EE run is free and
+        // answers the oracle, EE's loop at the widest window.
+        let (p, t) = parallel_block(64);
+        let prepared = prep(&p, &t);
+        let _ = simulate(&prepared, &SimConfig::new(Model::Ee, 8));
+        assert_eq!(
+            simulate(&prepared, &oracle),
+            simulate(&prep(&p, &t), &oracle)
+        );
+        let wider = MemoAnswers {
+            wider_window: 1,
+            ..MemoAnswers::default()
+        };
+        assert_eq!(prepared.window_memo_answers(), wider);
+    }
+
+    #[test]
+    fn a_wider_window_can_cost_a_pe_capped_run_cycles() {
+        // Why a PE-capped run answers only an identical call (DESIGN §4,
+        // item 9): greedy issue into the first free slot is not monotone
+        // in the window, since an earlier issue can take a slot a later
+        // record needed.
+        let w = dee_workloads::compress::build(dee_workloads::Scale::Tiny);
+        let t = w.capture_trace().unwrap();
+        let prepared = prep(&w.program, &t);
+        let cycles =
+            |et| simulate(&prepared, &SimConfig::new(Model::SpCd, et).with_max_pe(4)).cycles;
+        assert_eq!((cycles(12), cycles(13)), (3430, 3431));
     }
 
     #[test]

@@ -24,6 +24,13 @@
 //! | `DEE-CD-MF`| `l`                 | CD region, covered waived | parallel |
 //! | `Oracle`   | unlimited           | none                      | parallel |
 //!
+//! The eight models run four loops: a DEE tree runs its SP model's loop
+//! with the main line as the window, and the oracle runs `EE`'s loop at a
+//! window no trace fills, so it reads neither `E_T` nor a PE cap and
+//! reports `E_T` 0. [`simulate`] answers a call from the trace's window
+//! memo when a run it already made is that run or proves it (DESIGN.md
+//! §4, item 9), the oracle included.
+//!
 //! Interpretations (recorded here because the paper inherits its model
 //! semantics from Lam & Wilson and from the Levo machine sketch):
 //!

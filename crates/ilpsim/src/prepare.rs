@@ -217,13 +217,14 @@ impl MemoAnswers {
 /// The runs already made on one trace, so that a call they prove is
 /// answered without running.
 ///
-/// Every constrained run is kept, keyed by everything its loop reads, and
-/// answers an identical call. A run that was free (see `run` in the
-/// engine) also answers every call whose cycles and histogram it proves
-/// equal: the same loop at a wider window, and with a DEE region also a
-/// deeper one (DESIGN.md §4, item 9). So a sweep past saturation and a
-/// repeated cell are both answered. The memo keeps the latest
-/// [`CAPACITY`](Self::CAPACITY) runs: a trace's sweep asks fewer cells.
+/// Every run is kept, keyed by everything its loop reads, and answers an
+/// identical call. A run that was free (see `run` in the engine) also
+/// answers every call whose cycles and histogram it proves equal: the
+/// same loop at a wider window, and with a DEE region also a deeper one
+/// (DESIGN.md §4, item 9). So a sweep past saturation and a repeated
+/// cell, the oracle's included, are both answered. The memo keeps the
+/// latest [`CAPACITY`](Self::CAPACITY) runs: a trace's sweep asks fewer
+/// cells.
 #[derive(Debug, Default)]
 pub(crate) struct WindowMemo(Mutex<Memo>);
 
@@ -233,12 +234,12 @@ struct Memo {
     answers: MemoAnswers,
 }
 
-/// A constrained run, as the memo keys it: the loop and everything it
-/// reads besides the trace.
+/// A run, as the memo keys it: the loop and everything it reads besides
+/// the trace.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) struct RunKey {
     /// The loop, named by the model that owns it (`Ee`, `Sp`, `SpCd` or
-    /// `SpCdMf`).
+    /// `SpCdMf`); the oracle's is `Ee` at window `u32::MAX`.
     pub(crate) loop_model: Model,
     pub(crate) latency: LatencyModel,
     pub(crate) max_pe: Option<u32>,

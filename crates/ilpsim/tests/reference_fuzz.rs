@@ -10,14 +10,15 @@
 //!   program of a few thousand records. First two sweeps run ascending on
 //!   one `PreparedTrace`: every constrained model over E_T {1, 2, 3, 5, 8,
 //!   16, 32}, then DEE and DEE-CD over explicit `(l, h)` shapes in
-//!   dominance order, so the window memo answers what the runs before
-//!   prove (DESIGN.md §4, item 9). Then both sweeps run descending on a
-//!   trace whose memo is empty, where a rule that answers a narrower
-//!   window or a shallower DEE region would answer wrongly. Every cell,
-//!   answered or run, must equal the reference. When the iteration draws a
-//!   memory latency vector, the ascending sweeps run without it and the
-//!   descending trace is the ascending one with the vector attached, so a
-//!   memo learned without it must not answer.
+//!   dominance order, then the oracle, so the window memo answers what the
+//!   runs before prove (DESIGN.md §4, item 9). Then both sweeps run
+//!   descending on a trace whose memo is empty, the oracle first, where a
+//!   rule that answers a narrower window or a shallower DEE region would
+//!   answer wrongly. Every cell, answered or run, must equal the
+//!   reference. When the iteration draws a memory latency vector, the
+//!   ascending sweeps run without it and the descending trace is the
+//!   ascending one with the vector attached, so a memo learned without it
+//!   must not answer.
 //!   Then, on the descending trace, all eight models and `riseman_foster`
 //!   at an E_T from that list, a PE limit from {none, 1, 4}, unit or
 //!   `CLASSIC` latencies and sometimes a DEE shape override. Each of the
@@ -67,8 +68,9 @@ fn assert_agree(fast: &SimOutcome, literal: &SimOutcome, label: &str) {
 /// Every constrained model at every E_T of [`ETS`], ascending, then DEE
 /// and DEE-CD over every shape of [`HEIGHTS`] × [`MAINLINES`], each height
 /// ascending through the main lines before the next, so every shape comes
-/// after the shapes it dominates. Each with the reference's outcome under
-/// `mem_latency`.
+/// after the shapes it dominates, then the oracle, EE's loop with no
+/// window, after the EE runs that may answer it. Each with the
+/// reference's outcome under `mem_latency`.
 fn window_sweep(
     literal: &Reference,
     mem_latency: Option<&[u32]>,
@@ -84,6 +86,7 @@ fn window_sweep(
     });
     windows
         .chain(shapes)
+        .chain([SimConfig::new(Model::Oracle, 0)])
         .map(|config| {
             let config = config.with_p(p).with_latency(latency);
             (config, literal.simulate(mem_latency, &config))

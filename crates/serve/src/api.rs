@@ -612,8 +612,9 @@ pub fn handle_simulate(
 }
 
 /// Runs each model over `prepared` and renders its outcome, timed into
-/// the `ilpsim.simulate` phase once for the whole request. `et` is
-/// forced to 0 for `Oracle`; `max_pe` 0 leaves PEs implicitly limited.
+/// the `ilpsim.simulate` phase once for the whole request. `Oracle`
+/// reads neither `et` nor `max_pe` and reports E_T 0; `max_pe` 0 leaves
+/// PEs implicitly limited.
 ///
 /// # Errors
 ///
@@ -632,9 +633,7 @@ fn simulate_models(
         if Instant::now() > deadline {
             return Err(ApiError::deadline());
         }
-        let mut config = SimConfig::new(model, if model == Model::Oracle { 0 } else { et })
-            .with_p(p)
-            .with_latency(latency);
+        let mut config = SimConfig::new(model, et).with_p(p).with_latency(latency);
         if max_pe > 0 {
             config = config.with_max_pe(
                 u32::try_from(max_pe).map_err(|_| ApiError::bad_request("`max_pe` too large"))?,
@@ -659,7 +658,7 @@ pub struct BatchCell {
     pub scale: String,
     /// The ILP model to run.
     pub model: Model,
-    /// Branch-path resources; forced to 0 for `Oracle`.
+    /// Branch-path resources; `Oracle` reads none and reports E_T 0.
     pub et: u32,
     /// Fixed prediction accuracy; `None` uses the trace's measured one.
     pub p: Option<f64>,

@@ -6,8 +6,13 @@
 //!   `harmonic-mean` row for its model and E_T, to the two decimals shown.
 //! * The window-memo paragraph: "N of the 210 constrained cells" repeat
 //!   the previous E_T's speedup to all four decimals.
+//! * §TAB-ORACLE's measured column: every benchmark equals the CSV's
+//!   `Oracle` row, and the harmonic-mean row the harmonic mean of those
+//!   five rows as written, to the two decimals shown.
 
 use std::collections::HashMap;
+
+use dee::ilpsim::harmonic_mean;
 
 const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
 const FIG5_MEDIUM: &str = include_str!("../results/fig5_medium.csv");
@@ -15,11 +20,11 @@ const FIG5_MEDIUM: &str = include_str!("../results/fig5_medium.csv");
 /// `fig5`'s E_T axis (`dee_bench::FIG5_RESOURCES`).
 const FIG5_RESOURCES: [u32; 6] = [8, 16, 32, 64, 128, 256];
 
-/// The §FIG5 section of EXPERIMENTS.md.
-fn fig5_section() -> &'static str {
+/// The section of EXPERIMENTS.md that starts with `heading`.
+fn section(heading: &str) -> &'static str {
     let start = EXPERIMENTS
-        .find("\n## FIG5")
-        .expect("EXPERIMENTS.md has a FIG5 section");
+        .find(&format!("\n## {heading}"))
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has a {heading} section"));
     let rest = &EXPERIMENTS[start + 1..];
     let end = rest.find("\n## ").unwrap_or(rest.len());
     &rest[..end]
@@ -44,7 +49,7 @@ fn golden() -> HashMap<(&'static str, &'static str, u32), &'static str> {
 #[test]
 fn fig5_harmonic_mean_table_quotes_the_golden() {
     let golden = golden();
-    let table = fig5_section()
+    let table = section("FIG5")
         .split("| model | 8 | 16 | 32 | 64 | 128 | 256 |")
         .nth(1)
         .expect("§FIG5 has the harmonic-mean table");
@@ -86,11 +91,9 @@ fn fig5_repeat_count_matches_the_golden() {
         })
         .count();
     let phrase = " of the 210 constrained cells";
-    let section = fig5_section();
-    let at = section
-        .find(phrase)
-        .expect("§FIG5 counts the repeated cells");
-    let quoted: usize = section[..at]
+    let fig5 = section("FIG5");
+    let at = fig5.find(phrase).expect("§FIG5 counts the repeated cells");
+    let quoted: usize = fig5[..at]
         .rsplit(|c: char| !c.is_ascii_digit())
         .next()
         .and_then(|n| n.parse().ok())
@@ -98,5 +101,47 @@ fn fig5_repeat_count_matches_the_golden() {
     assert_eq!(
         quoted, repeats,
         "EXPERIMENTS §FIG5 counts {quoted} repeated cells; results/fig5_medium.csv has {repeats}"
+    );
+}
+
+#[test]
+fn tab_oracle_quotes_the_golden() {
+    let golden = golden();
+    let table = section("TAB-ORACLE")
+        .split("| benchmark | paper | measured | status |")
+        .nth(1)
+        .expect("§TAB-ORACLE has the oracle table");
+    let mut rows = Vec::new();
+    for row in table.lines().skip(2).take_while(|l| l.starts_with('|')) {
+        let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+        let [bench, _paper, measured, ..] = cells[..] else {
+            panic!("malformed TAB-ORACLE row `{row}`");
+        };
+        rows.push((bench, measured));
+    }
+    let (hm_row, bench_rows) = rows.split_last().expect("§TAB-ORACLE has rows");
+    let speedups: Vec<f64> = bench_rows
+        .iter()
+        .map(|&(bench, measured)| {
+            let written = golden[&(bench, "Oracle", 0)];
+            let speedup: f64 = written.parse().expect("speedups are numbers");
+            assert_eq!(
+                measured,
+                format!("{speedup:.2}"),
+                "EXPERIMENTS §TAB-ORACLE quotes {bench}'s oracle as {measured}; \
+                 results/fig5_medium.csv has {written}"
+            );
+            speedup
+        })
+        .collect();
+    assert_eq!(speedups.len(), 5, "one row per paper workload");
+    let hm = harmonic_mean(&speedups);
+    assert_eq!(hm_row.0, "harmonic mean");
+    assert_eq!(
+        hm_row.1,
+        format!("{hm:.2}"),
+        "EXPERIMENTS §TAB-ORACLE quotes the oracle's harmonic mean as {}; \
+         the CSV's five rows give {hm}",
+        hm_row.1
     );
 }
