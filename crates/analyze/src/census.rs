@@ -197,17 +197,34 @@ impl BranchCensus {
     /// truncated (step limits), so the final record is not required to be a
     /// `halt`; every *consecutive* pair must still follow a static edge.
     pub fn verify_trace(&self, trace: &Trace) -> Result<CrossCheck, CrossCheckError> {
-        let records = trace.records();
         // The VM records at least one step for every accepted program (even
         // a lone `halt`), so a zero-record trace can only mean corruption
         // or version skew — report it precisely instead of vacuously
         // passing. Single-block programs (no conditional branches) are
         // *not* degenerate: they verify normally with empty counts.
-        if records.is_empty() {
+        if trace.is_empty() {
             return Err(CrossCheckError::EmptyTrace);
         }
-        let mut counts: BTreeMap<u32, DirectionCounts> = BTreeMap::new();
-        for (index, rec) in records.iter().enumerate() {
+        // Direction totals per pc, kept to the branches that ran at the end.
+        let mut per_pc = vec![DirectionCounts::default(); self.len as usize];
+        // The previous record's index and pc, and the pc its step lets
+        // this record have: `None` for any (after `jr`), an error when no
+        // record may follow (after `halt`).
+        let mut successor: Option<(usize, u32, Result<Option<u32>, CrossCheckError>)> = None;
+        for (index, rec) in trace.records().enumerate() {
+            // Successor consistency.
+            if let Some((prev_index, prev_pc, expected)) = successor.take() {
+                if let Some(expected) = expected? {
+                    if rec.pc != expected {
+                        return Err(CrossCheckError::SuccessorMismatch {
+                            index: prev_index,
+                            pc: prev_pc,
+                            expected,
+                            got: rec.pc,
+                        });
+                    }
+                }
+            }
             if rec.pc >= self.len {
                 return Err(CrossCheckError::PcOutOfRange {
                     index,
@@ -217,7 +234,7 @@ impl BranchCensus {
             }
             let pc = rec.pc as usize;
             // Branch membership and direction possibilities.
-            match (self.steps[pc], rec.branch) {
+            let expected = match (self.steps[pc], rec.branch) {
                 (StepKind::Cond { taken }, Some(outcome)) => {
                     if outcome.target != taken {
                         return Err(CrossCheckError::TargetMismatch {
@@ -227,11 +244,13 @@ impl BranchCensus {
                             got: outcome.target,
                         });
                     }
-                    let c = counts.entry(rec.pc).or_default();
+                    let c = &mut per_pc[pc];
                     if outcome.taken {
                         c.taken += 1;
+                        Ok(Some(taken))
                     } else {
                         c.not_taken += 1;
+                        Ok(Some(rec.pc + 1))
                     }
                 }
                 (StepKind::Cond { .. }, None) => {
@@ -240,40 +259,27 @@ impl BranchCensus {
                 (_, Some(_)) => {
                     return Err(CrossCheckError::NotABranch { index, pc: rec.pc });
                 }
-                _ => {}
-            }
+                (StepKind::Fall, None) => Ok(Some(rec.pc + 1)),
+                (StepKind::Jump(target), None) => Ok(Some(target)),
+                (StepKind::Indirect, None) => Ok(None),
+                (StepKind::Stop, None) => {
+                    Err(CrossCheckError::RecordAfterHalt { index, pc: rec.pc })
+                }
+            };
             // Operand consistency.
             if rec.dst != self.defs[pc] || rec.srcs != self.uses[pc] {
                 return Err(CrossCheckError::OperandMismatch { index, pc: rec.pc });
             }
-            // Successor consistency.
-            if let Some(next) = records.get(index + 1) {
-                let expected: Option<u32> = match self.steps[pc] {
-                    StepKind::Fall => Some(rec.pc + 1),
-                    StepKind::Jump(target) => Some(target),
-                    StepKind::Cond { taken } => {
-                        let outcome = rec.branch.expect("checked above");
-                        Some(if outcome.taken { taken } else { rec.pc + 1 })
-                    }
-                    StepKind::Indirect => None,
-                    StepKind::Stop => {
-                        return Err(CrossCheckError::RecordAfterHalt { index, pc: rec.pc })
-                    }
-                };
-                if let Some(e) = expected {
-                    if next.pc != e {
-                        return Err(CrossCheckError::SuccessorMismatch {
-                            index,
-                            pc: rec.pc,
-                            expected: e,
-                            got: next.pc,
-                        });
-                    }
-                }
-            }
+            successor = Some((index, rec.pc, expected));
         }
+        let counts = per_pc
+            .into_iter()
+            .zip(0..)
+            .filter(|(c, _)| c.taken + c.not_taken > 0)
+            .map(|(c, pc)| (pc, c))
+            .collect();
         Ok(CrossCheck {
-            records: records.len() as u64,
+            records: trace.len() as u64,
             counts,
         })
     }
@@ -486,7 +492,7 @@ mod tests {
         assert_eq!(census.num_branches(), 0);
         let trace = dee_vm::trace_program(&program, &[], u64::MAX).expect("runs");
         let check = census.verify_trace(&trace).expect("verifies");
-        assert_eq!(check.records, trace.records().len() as u64);
+        assert_eq!(check.records, trace.len() as u64);
         assert!(check.counts.is_empty());
     }
 

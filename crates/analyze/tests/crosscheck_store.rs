@@ -35,7 +35,7 @@ fn recorded_workload_traces_verify_against_the_census() {
         let check = census
             .verify_trace(&replayed)
             .unwrap_or_else(|e| panic!("{}: replayed trace fails cross-check: {e}", w.name));
-        assert_eq!(check.records, replayed.records().len() as u64, "{}", w.name);
+        assert_eq!(check.records, replayed.len() as u64, "{}", w.name);
         assert!(check.records > 0, "{}", w.name);
     }
     let _ = std::fs::remove_dir_all(store.root());
@@ -79,7 +79,7 @@ fn mutated_records_are_typed_cross_check_errors() {
     let w = dee_workloads::xlisp::build(Scale::Tiny);
     let census = BranchCensus::build(&w.program);
     let trace = w.capture_trace().expect("traces");
-    let base = trace.records().to_vec();
+    let base: Vec<_> = trace.records().collect();
     let output = trace.output().to_vec();
     let branch_at = base
         .iter()

@@ -27,7 +27,7 @@ fn workload_traces_verify_against_census() {
         let check = census
             .verify_trace(&trace)
             .unwrap_or_else(|e| panic!("{}: cross-check failed: {e}", w.name));
-        assert_eq!(check.records, trace.records().len() as u64);
+        assert_eq!(check.records, trace.len() as u64);
         // Every dynamic branch pc is a census member (by construction of a
         // passing verify), and the census covers at least those pcs.
         for pc in check.counts.keys() {

@@ -546,8 +546,8 @@ mod tests {
             .zip(&recorded.entries)
             .zip(&replayed.entries)
         {
-            assert_eq!(a.trace.records(), b.trace.records());
-            assert_eq!(a.trace.records(), c.trace.records());
+            assert_eq!(a.trace, b.trace);
+            assert_eq!(a.trace, c.trace);
             assert_eq!(a.trace.output(), c.trace.output());
             assert_eq!(a.trace.output_checksum(), c.trace.output_checksum());
         }

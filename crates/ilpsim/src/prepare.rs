@@ -14,13 +14,13 @@ use crate::model::{LatencyModel, Model};
 ///
 /// Preparing once and simulating many configurations amortizes the
 /// predictor replay, the CFG analysis and the region search across the
-/// whole parameter sweep. The representation is *columnar*: instead of
-/// holding the 40-byte [`TraceRecord`]s, the models' hot loops read one
-/// dense per-record column (`meta`, 4 bytes/record) plus the load and
-/// store address streams and the per-mispredict `cd_end` index. Nothing
-/// here borrows the input trace, so a prepared trace can be built one
-/// record at a time (see [`PreparedTraceBuilder`]): a stored artifact
-/// streams into it without its record vector ever existing in memory.
+/// whole parameter sweep. The representation is *columnar*: the models'
+/// hot loops read one dense per-record column (`meta`, 4 bytes/record)
+/// plus the load and store address streams and the per-mispredict
+/// `cd_end` index, never a decoded [`TraceRecord`]. Nothing here borrows
+/// the input trace, so a prepared trace is built one record at a time
+/// (see [`PreparedTraceBuilder`]), from a [`Trace`]'s decoded records or
+/// straight from a stored artifact.
 #[derive(Clone, Debug)]
 pub struct PreparedTrace {
     /// Number of dynamic records.
@@ -31,7 +31,7 @@ pub struct PreparedTrace {
     /// into one u32 (see the `META_*` constants): source and destination
     /// register slots, memory-access and conditional-branch flags, the
     /// latency class, the branch direction, and the mispredict flag. One
-    /// 4-byte load per record per cell instead of re-matching the ~40-byte
+    /// 4-byte load per record per cell instead of re-matching a decoded
     /// `TraceRecord`.
     pub(crate) meta: Vec<u32>,
     /// Per mispredicted branch, in trace order: the first younger record
@@ -87,7 +87,7 @@ impl PreparedTrace {
         let mut builder = PreparedTraceBuilder::new(program, predictor);
         builder.reserve(trace.len());
         for record in trace.records() {
-            builder.push_record(record);
+            builder.push_record(&record);
         }
         builder.finish(trace.output().to_vec())
     }
@@ -408,6 +408,7 @@ impl<'p> PreparedTraceBuilder<'p> {
 
     /// Packs one dynamic record into the columns, replays it through the
     /// predictor and advances the region index.
+    #[inline]
     pub fn push_record(&mut self, record: &TraceRecord) {
         let pos = self.meta.len() as u32;
         let pc = record.pc as usize;
@@ -941,7 +942,6 @@ mod tests {
             .iter()
             .zip(
                 t.records()
-                    .iter()
                     .enumerate()
                     .filter(|(i, _)| prepared.meta[*i] & META_MISPREDICT != 0),
             )

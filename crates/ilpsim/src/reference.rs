@@ -153,8 +153,7 @@ impl Reference {
     /// counter (as [`PreparedTrace::new`](crate::PreparedTrace::new) does).
     #[must_use]
     pub fn new(program: &Program, trace: &Trace) -> Self {
-        let records = trace.records();
-        let n = records.len();
+        let n = trace.len();
         let mispredicted = mispredict_flags(&mut TwoBitCounter::new(), trace);
         let mut region_ends = cd_region_ends(program, trace).into_iter();
 
@@ -165,7 +164,7 @@ impl Reference {
         let mut path_start = vec![0];
         let mut branches = Vec::new();
         let mut cd_end = vec![usize::MAX; n];
-        for (i, r) in records.iter().enumerate() {
+        for (i, r) in trace.records().enumerate() {
             let mut from: Vec<usize> = r
                 .srcs
                 .iter()
@@ -195,12 +194,12 @@ impl Reference {
             }
         }
         Reference {
-            class: records
-                .iter()
+            class: trace
+                .records()
                 .map(|r| instr_class(&program[r.pc]))
                 .collect(),
-            is_mem: records
-                .iter()
+            is_mem: trace
+                .records()
                 .map(|r| r.mem_read.is_some() || r.mem_write.is_some())
                 .collect(),
             producers,
@@ -505,16 +504,16 @@ impl Frontier {
 /// `u32::MAX` when the direction has no join (see
 /// `cd_joins` in the prepare module).
 ///
-/// A forward scan over the materialised records, kept as the brute force
-/// that the prepare-time index is checked against.
+/// A forward scan over the decoded records, kept as the brute force that
+/// the prepare-time index is checked against.
 #[must_use]
 pub fn cd_region_ends(program: &Program, trace: &Trace) -> Vec<u32> {
-    let records = trace.records();
     let joins = cd_joins(program);
     let mispredicted = mispredict_flags(&mut TwoBitCounter::new(), trace);
     let cap = CD_SCAN_CAP as usize;
     let mut ends = Vec::new();
-    for (i, r) in records.iter().enumerate() {
+    let mut records = trace.records().enumerate();
+    while let Some((i, r)) = records.next() {
         let Some(outcome) = r.branch.filter(|_| mispredicted[i]) else {
             continue;
         };
@@ -523,9 +522,12 @@ pub fn cd_region_ends(program: &Program, trace: &Trace) -> Vec<u32> {
         ends.push(if join == NO_JOIN {
             u32::MAX
         } else {
-            let end = (i + 1..records.len().min(i + 1 + cap))
-                .find(|&j| records[j].pc == join && records[j].depth == r.depth)
-                .unwrap_or(i + 1 + cap);
+            // `records` resumes at record `i + 1`, the first younger one.
+            let end = records
+                .clone()
+                .take(cap)
+                .find(|(_, next)| next.pc == join && next.depth == r.depth)
+                .map_or(i + 1 + cap, |(j, _)| j);
             u32::try_from(end).unwrap_or(u32::MAX)
         });
     }

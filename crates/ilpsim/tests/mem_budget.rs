@@ -1,15 +1,20 @@
-//! Peak-allocation regression guard for the disk tier's streaming
-//! prepare.
+//! Peak-allocation regression guards for the disk tier's streaming
+//! prepare and for trace capture.
 //!
-//! The claim under test: preparing a stored artifact by feeding a
-//! [`StoreReader`] into a [`PreparedTraceBuilder`] record by record — the
-//! path `dee-serve`'s disk tier runs on a `/simulate` disk hit — never
-//! materializes the record vector, so its peak heap growth on each
-//! fig5-small workload stays under a fixed byte budget, while loading the
-//! whole trace ([`Store::load`]) and then calling
-//! [`PreparedTrace::new`] blows through the same budget on the larger
-//! workloads. Both paths must agree on every simulation-visible quantity,
-//! or the budget win is meaningless.
+//! The claims under test, on each fig5-small workload:
+//!
+//! * preparing a stored artifact by feeding a [`StoreReader`] into a
+//!   [`PreparedTraceBuilder`] record by record — the path `dee-serve`'s
+//!   disk tier runs on a `/simulate` disk hit — stays under a fixed byte
+//!   budget, while preparing the same artifact through a materialised
+//!   `Vec<TraceRecord>` (40 bytes a record) blows through it on the
+//!   larger workloads. Both paths must agree on every
+//!   simulation-visible quantity, or the budget win is meaningless;
+//! * capturing a trace on the decoded engine costs at most
+//!   [`CAPTURE_BYTES_PER_RECORD`] bytes a record above the machine's
+//!   memory image and the program-sized tables: the compact [`Trace`]
+//!   holds a 4-byte shape id per record plus the dynamic fields, not a
+//!   record vector.
 //!
 //! The counting allocator counts every thread in this test binary, so the
 //! file holds exactly one test: a second test running in parallel would
@@ -25,6 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dee_ilpsim::{simulate, Model, PreparedTrace, PreparedTraceBuilder, SimConfig};
 use dee_predict::TwoBitCounter;
 use dee_store::{ArtifactKey, Store, StoreReader};
+use dee_vm::{Engine, Trace, TraceRecord, DEFAULT_MEM_WORDS};
 use dee_workloads::{all_workloads, Scale, Workload};
 
 /// Forwarding allocator that tracks live bytes and the high-water mark.
@@ -90,13 +96,26 @@ fn phase_peak(f: impl FnOnce()) -> usize {
     PEAK.load(Ordering::Relaxed).saturating_sub(base)
 }
 
-/// Budget the streamed path must stay under and the legacy path must
-/// exceed, as peak heap growth while preparing one fig5-small workload.
-/// The streamed path holds the columnar output, the program analysis and
-/// one decompressed container chunk; the legacy path also holds the whole
-/// record vector (the ~240 K-record eqntott trace alone is ~9.6 MiB), so
-/// 10 MiB sits well between the two.
+/// Budget the streamed path must stay under and the record-vector path
+/// must exceed, as peak heap growth while preparing one fig5-small
+/// workload. The streamed path holds the columnar output, the program
+/// analysis and one decompressed container chunk; the record-vector path
+/// also holds every record at 40 bytes (the ~240 K-record eqntott trace
+/// alone is ~9.6 MiB), so 10 MiB sits well between the two.
 const BUDGET_BYTES: usize = 10 * 1024 * 1024;
+
+/// Most bytes a record a decoded-engine capture may peak at, above the
+/// machine's memory image and [`PROGRAM_BYTES_PER_INSTR`] per static
+/// instruction. The compact trace needs about 4.7 (a 4-byte shape id, an
+/// address per memory access, a bit per branch, an entry per depth
+/// change); `Vec` doubling can nearly double that. A 40-byte record
+/// vector cannot fit.
+const CAPTURE_BYTES_PER_RECORD: usize = 12;
+
+/// Allowance per static instruction for the program-sized tables a
+/// capture builds: the decoded ops, the record shapes and their copy in
+/// the trace, the def and store tables.
+const PROGRAM_BYTES_PER_INSTR: usize = 256;
 
 /// Everything `simulate` can observe, for cross-path identity checks.
 fn fingerprint(prepared: &PreparedTrace) -> (usize, u32, u64, u64, Vec<i32>, f64, f64) {
@@ -129,7 +148,7 @@ fn prepare_streamed(w: &Workload, mut reader: StoreReader) -> PreparedTrace {
 }
 
 #[test]
-fn streamed_prepare_stays_under_budget_while_legacy_exceeds_it() {
+fn streamed_prepare_and_capture_stay_under_budget_while_a_record_vector_exceeds_it() {
     let suite = all_workloads(Scale::Small);
     assert_eq!(suite.len(), 5, "fig5 suite is the paper's five workloads");
     let dir = std::env::temp_dir().join(format!("dee_mem_budget_{}", std::process::id()));
@@ -137,7 +156,7 @@ fn streamed_prepare_stays_under_budget_while_legacy_exceeds_it() {
     let store = Store::open(&dir).expect("open scratch store");
 
     let mut streamed_worst = 0usize;
-    let mut legacy_worst = 0usize;
+    let mut vector_worst = 0usize;
     for w in &suite {
         let key = ArtifactKey::new(&w.name, "small", &w.program.to_listing(), &w.initial_memory);
         store
@@ -153,37 +172,58 @@ fn streamed_prepare_stays_under_budget_while_legacy_exceeds_it() {
         let streamed_print = fingerprint(&streamed);
         drop(streamed);
 
-        let mut legacy = None;
-        let legacy_peak = phase_peak(|| {
+        let mut via_vector = None;
+        let vector_peak = phase_peak(|| {
             let trace = store.load(&key).expect("loads").expect("published");
-            legacy = Some(PreparedTrace::new(&w.program, &trace));
+            let records: Vec<TraceRecord> = trace.records().collect();
+            let mut predictor = TwoBitCounter::new();
+            let mut builder = PreparedTraceBuilder::new(&w.program, &mut predictor);
+            for record in &records {
+                builder.push_record(record);
+            }
+            via_vector = Some(builder.finish(trace.output().to_vec()));
         });
-        let legacy = legacy.unwrap();
-        let legacy_print = fingerprint(&legacy);
-        drop(legacy);
+        let via_vector = via_vector.unwrap();
+        let vector_print = fingerprint(&via_vector);
+        drop(via_vector);
+
+        let mut captured: Option<Trace> = None;
+        let capture_peak = phase_peak(|| {
+            captured = Some(w.capture_trace_with(Engine::Decoded).expect("runs"));
+        });
+        let records = captured.expect("captured").len();
+        let fixed = DEFAULT_MEM_WORDS * 4 + PROGRAM_BYTES_PER_INSTR * w.program.len();
+        let capture_per_record = capture_peak.saturating_sub(fixed) as f64 / records as f64;
 
         eprintln!(
-            "mem_budget: {:<10} streamed_peak={:>9} legacy_peak={:>9}",
-            w.name, streamed_peak, legacy_peak
+            "mem_budget: {:<10} streamed_peak={:>9} vector_peak={:>9} \
+             capture={:.2} B/record over {records} records",
+            w.name, streamed_peak, vector_peak, capture_per_record
         );
-        assert_eq!(streamed_print, legacy_print, "{}: paths diverge", w.name);
+        assert!(
+            capture_per_record <= CAPTURE_BYTES_PER_RECORD as f64,
+            "{}: capture peaked at {capture_peak} bytes, {capture_per_record:.2} B/record \
+             above the {fixed}-byte memory image and program tables",
+            w.name
+        );
+        assert_eq!(streamed_print, vector_print, "{}: paths diverge", w.name);
         assert!(
             streamed_peak <= BUDGET_BYTES,
             "{}: streamed prepare peaked at {streamed_peak} bytes, budget {BUDGET_BYTES}",
             w.name
         );
         streamed_worst = streamed_worst.max(streamed_peak);
-        legacy_worst = legacy_worst.max(legacy_peak);
+        vector_worst = vector_worst.max(vector_peak);
     }
     std::fs::remove_dir_all(&dir).ok();
 
-    // The regression tripwire: if the legacy path ever fits the budget,
-    // the budget is too loose to catch a streamed-path regression back to
-    // whole-trace materialization — tighten it.
+    // The regression tripwire: if a materialised record vector ever fits
+    // the budget, the budget is too loose to catch a streamed-path
+    // regression back to one — tighten it.
     assert!(
-        legacy_worst > BUDGET_BYTES,
-        "legacy prepare peaked at {legacy_worst} bytes, within the {BUDGET_BYTES}-byte budget; \
-         tighten BUDGET_BYTES so the guard keeps discriminating"
+        vector_worst > BUDGET_BYTES,
+        "record-vector prepare peaked at {vector_worst} bytes, within the \
+         {BUDGET_BYTES}-byte budget; tighten BUDGET_BYTES so the guard keeps discriminating"
     );
-    eprintln!("mem_budget: worst streamed={streamed_worst} worst legacy={legacy_worst}");
+    eprintln!("mem_budget: worst streamed={streamed_worst} worst vector={vector_worst}");
 }

@@ -150,7 +150,6 @@ fn seeded_generated_programs_agree() {
         let mem_latency: Option<Vec<u32>> = (rng.below(3) == 0).then(|| {
             trace
                 .records()
-                .iter()
                 .map(|r| {
                     if r.mem_read.is_some() || r.mem_write.is_some() {
                         1 + rng.below(6) as u32

@@ -245,7 +245,6 @@ impl MemoryHierarchy {
 pub fn annotate_latencies(trace: &Trace, hierarchy: &mut MemoryHierarchy) -> Vec<u32> {
     trace
         .records()
-        .iter()
         .map(|record| match record.mem_read.or(record.mem_write) {
             Some(addr) => hierarchy.access(addr),
             None => 0,
@@ -392,7 +391,6 @@ mod tests {
             stats.accesses as usize,
             trace
                 .records()
-                .iter()
                 .filter(|r| r.mem_read.is_some() || r.mem_write.is_some())
                 .count()
         );

@@ -38,14 +38,12 @@ impl AccuracyReport {
 /// Replays `trace` through `predictor` with immediate resolution.
 pub fn measure_accuracy(predictor: &mut dyn BranchPredictor, trace: &Trace) -> AccuracyReport {
     let mut report = AccuracyReport::default();
-    for record in trace.records() {
-        if let Some(outcome) = record.branch {
-            report.branches += 1;
-            if predictor.predict(record.pc) == outcome.taken {
-                report.hits += 1;
-            }
-            predictor.resolve(record.pc, outcome.taken);
+    for (pc, outcome) in trace.branch_outcomes() {
+        report.branches += 1;
+        if predictor.predict(pc) == outcome.taken {
+            report.hits += 1;
         }
+        predictor.resolve(pc, outcome.taken);
     }
     report
 }
@@ -59,17 +57,15 @@ pub fn measure_accuracy_delayed(
 ) -> AccuracyReport {
     let mut report = AccuracyReport::default();
     let mut pending: VecDeque<(u32, bool)> = VecDeque::new();
-    for record in trace.records() {
-        if let Some(outcome) = record.branch {
-            report.branches += 1;
-            if predictor.predict(record.pc) == outcome.taken {
-                report.hits += 1;
-            }
-            pending.push_back((record.pc, outcome.taken));
-            if pending.len() > delay {
-                let (pc, taken) = pending.pop_front().expect("nonempty");
-                predictor.resolve(pc, taken);
-            }
+    for (pc, outcome) in trace.branch_outcomes() {
+        report.branches += 1;
+        if predictor.predict(pc) == outcome.taken {
+            report.hits += 1;
+        }
+        pending.push_back((pc, outcome.taken));
+        if pending.len() > delay {
+            let (pc, taken) = pending.pop_front().expect("nonempty");
+            predictor.resolve(pc, taken);
         }
     }
     while let Some((pc, taken)) = pending.pop_front() {
@@ -84,11 +80,9 @@ pub fn measure_accuracy_delayed(
 #[must_use]
 pub fn mispredict_flags(predictor: &mut dyn BranchPredictor, trace: &Trace) -> Vec<bool> {
     let mut flags = vec![false; trace.len()];
-    for (i, record) in trace.records().iter().enumerate() {
-        if let Some(outcome) = record.branch {
-            flags[i] = predictor.predict(record.pc) != outcome.taken;
-            predictor.resolve(record.pc, outcome.taken);
-        }
+    for (i, pc, outcome) in trace.branches() {
+        flags[i] = predictor.predict(pc) != outcome.taken;
+        predictor.resolve(pc, outcome.taken);
     }
     flags
 }
@@ -124,10 +118,7 @@ mod tests {
     }
 
     fn trace_of(outcomes: &[(u32, bool)]) -> Trace {
-        let records = outcomes
-            .iter()
-            .map(|&(pc, taken)| branch_record(pc, taken))
-            .collect();
+        let records = outcomes.iter().map(|&(pc, taken)| branch_record(pc, taken));
         Trace::from_parts(records, vec![])
     }
 

@@ -13,7 +13,7 @@
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dee_core::{StaticTree, TreeParams, MAX_ET};
 use dee_ilpsim::{
@@ -183,10 +183,10 @@ fn workload_source(name: &str, scale: Scale) -> Result<Source, ApiError> {
 }
 
 /// What a request names: a registry workload, checked but not yet built,
-/// or an upload, parsed and linted.
+/// or an upload, parsed and linted in `lint`.
 enum Named<'a> {
     Workload(&'a str, Scale),
-    Upload(Source),
+    Upload(Source, Duration),
 }
 
 impl Named<'_> {
@@ -194,7 +194,7 @@ impl Named<'_> {
     fn into_source(self) -> Result<Source, ApiError> {
         match self {
             Named::Workload(name, scale) => workload_source(name, scale),
-            Named::Upload(source) => Ok(source),
+            Named::Upload(source, _) => Ok(source),
         }
     }
 }
@@ -244,7 +244,9 @@ fn resolve_named<'a>(body: &'a Json, faults: &FaultPlan) -> Result<Named<'a>, Ap
         (None, Some(source_text)) => {
             let program = parse_program(source_text)
                 .map_err(|e| ApiError::bad_request(format!("program: {e}")))?;
+            let lint_start = Instant::now();
             let report = dee_analyze::analyze(&program);
+            let lint = lint_start.elapsed();
             if report.has_errors() {
                 let mut codes: Vec<String> = Vec::new();
                 for d in report.diagnostics() {
@@ -278,12 +280,15 @@ fn resolve_named<'a>(body: &'a Json, faults: &FaultPlan) -> Result<Named<'a>, Ap
                 Some(_) => return Err(ApiError::bad_request("`memory` must be an array")),
             };
             let label = format!("program:{:016x}", fnv1a(source_text.as_bytes()));
-            Ok(Named::Upload(Source {
-                program,
-                memory,
-                label,
-                registry: None,
-            }))
+            Ok(Named::Upload(
+                Source {
+                    program,
+                    memory,
+                    label,
+                    registry: None,
+                },
+                lint,
+            ))
         }
         (None, None) => Err(ApiError::bad_request("missing `workload` or `program`")),
     }
@@ -360,11 +365,13 @@ fn trace_error(e: VmError) -> String {
 /// degradation. With a tier (a registry workload and a store), the
 /// capture is timed into `dee_store_trace_nanos_total` and the trace
 /// published under `key` best-effort: a tripped [`FaultSite::StoreWrite`]
-/// or a failed put only counts a write error.
+/// or a failed put only counts a write error. With `metrics`, the VM run
+/// is timed into `vm.capture`.
 fn capture_trace(
     source: &Source,
     faults: &FaultPlan,
     tier: Option<(&Store, &ArtifactKey)>,
+    metrics: Option<&Metrics>,
 ) -> Result<Trace, String> {
     let engine = if faults.trip(FaultSite::DecodeCompile).is_some() {
         Engine::Interp
@@ -374,6 +381,9 @@ fn capture_trace(
     let capture_start = Instant::now();
     let trace = trace_program_with(engine, &source.program, &source.memory, STEP_LIMIT)
         .map_err(trace_error)?;
+    if let Some(metrics) = metrics {
+        metrics.phase_capture.record(capture_start.elapsed());
+    }
     if let Some((store, key)) = tier {
         let stats = store.stats();
         stats
@@ -399,12 +409,14 @@ fn capture_trace(
 /// is quarantined and recaptured. Store faults degrade rather than fail
 /// (see [`read_stored`] and [`capture_trace`]): the caller always gets a
 /// correct prepared trace, and only the `dee_store_*` counters reveal
-/// what happened.
+/// what happened. With `metrics`, a capture and the prepare after it are
+/// timed into `vm.capture` and `ilpsim.prepare`.
 fn prepare_streamed(
     source: &Source,
     predictor_name: &str,
     faults: &FaultPlan,
     store: Option<&Store>,
+    metrics: Option<&Metrics>,
 ) -> Result<PreparedTrace, String> {
     let new_predictor = || predictor_by_name(predictor_name).map_err(|e| e.message);
     let key = store.and_then(|_| artifact_key(source));
@@ -437,13 +449,15 @@ fn prepare_streamed(
             return Ok(prepared);
         }
     }
-    let trace = capture_trace(source, faults, tier)?;
+    let trace = capture_trace(source, faults, tier, metrics)?;
     // A fresh predictor: a rejected artifact may have fed the first one.
-    Ok(PreparedTrace::with_predictor(
-        &source.program,
-        &trace,
-        new_predictor()?.as_mut(),
-    ))
+    let mut predictor = new_predictor()?;
+    let prepare_start = Instant::now();
+    let prepared = PreparedTrace::with_predictor(&source.program, &trace, predictor.as_mut());
+    if let Some(metrics) = metrics {
+        metrics.phase_prepare.record(prepare_start.elapsed());
+    }
+    Ok(prepared)
 }
 
 /// Fetches (or prepares and caches) the prepared trace for a request.
@@ -469,6 +483,18 @@ pub fn prepared_for(
     faults: &FaultPlan,
     store: Option<&Store>,
 ) -> Result<(Arc<PreparedEntry>, bool, String), ApiError> {
+    prepared_for_with(cache, body, faults, store, None)
+}
+
+/// [`prepared_for`], timing a miss's upload lint, capture and prepare
+/// into `metrics` when given.
+fn prepared_for_with(
+    cache: &PreparedCache,
+    body: &Json,
+    faults: &FaultPlan,
+    store: Option<&Store>,
+    metrics: Option<&Metrics>,
+) -> Result<(Arc<PreparedEntry>, bool, String), ApiError> {
     let named = resolve_named(body, faults)?;
     let predictor_name = str_field(body, "predictor").unwrap_or("twobit");
     // Validate the predictor name before the (expensive) miss path.
@@ -487,7 +513,7 @@ pub fn prepared_for(
             };
             (key, format!("{tag}/{scale_tag}"))
         }
-        Named::Upload(source) => {
+        Named::Upload(source, _) => {
             let key = CacheKey::Upload {
                 program: fnv1a(source.program.to_listing().as_bytes()),
                 memory: fnv1a_words(&source.memory),
@@ -501,8 +527,11 @@ pub fn prepared_for(
             if faults.trip(FaultSite::TracePrepare).is_some() {
                 return Err("injected fault: trace_prepare".to_string());
             }
+            if let (Some(metrics), Named::Upload(_, lint)) = (metrics, &named) {
+                metrics.phase_gate.record(*lint);
+            }
             let source = named.into_source().map_err(|e| e.message)?;
-            let prepared = prepare_streamed(&source, predictor_name, faults, store)?;
+            let prepared = prepare_streamed(&source, predictor_name, faults, store, metrics)?;
             if faults.trip(FaultSite::CacheInsert).is_some() {
                 return Err("injected fault: cache_insert".to_string());
             }
@@ -541,7 +570,9 @@ pub fn outcome_json(outcome: &SimOutcome) -> Json {
 }
 
 /// [`prepared_for`], timed into the `serve.lookup` phase on a hit and
-/// `serve.miss` on a miss: once per request or `/batch` cell.
+/// `serve.miss` on a miss: once per request or `/batch` cell. A miss is
+/// also split into `analyze.gate` (an upload's lint), `vm.capture` and
+/// `ilpsim.prepare`, each timed at most once.
 fn timed_prepared_for(
     cache: &PreparedCache,
     body: &Json,
@@ -550,7 +581,7 @@ fn timed_prepared_for(
     metrics: &Metrics,
 ) -> Result<(Arc<PreparedEntry>, bool, String), ApiError> {
     let lookup_start = Instant::now();
-    let found = prepared_for(cache, body, faults, store)?;
+    let found = prepared_for_with(cache, body, faults, store, Some(metrics))?;
     let phase = if found.1 {
         &metrics.phase_lookup
     } else {
@@ -2355,7 +2386,7 @@ mod tests {
         let trace =
             trace_program_with(Engine::Decoded, &source.program, &source.memory, STEP_LIMIT)
                 .unwrap();
-        let mut records = trace.records().to_vec();
+        let mut records: Vec<_> = trace.records().collect();
         assert!(records.iter_mut().any(reseal), "no record to reseal");
         store
             .put(&key, &Trace::from_parts(records, trace.output().to_vec()))

@@ -146,6 +146,16 @@ pub struct Metrics {
     /// `serve.miss`: the same when the cache misses, so it also captures
     /// (or replays from the disk tier) and prepares the trace.
     pub phase_miss: Histogram,
+    /// `analyze.gate`: the static-analysis lint of an upload that then
+    /// misses (the lint runs before the cache is asked; a hit's is not
+    /// timed here).
+    pub phase_gate: Histogram,
+    /// `vm.capture`: capturing a miss's trace on the VM, once per capture
+    /// (not on a disk-tier hit).
+    pub phase_capture: Histogram,
+    /// `ilpsim.prepare`: preparing a captured trace on a miss (a disk-tier
+    /// hit prepares as it reads and is not timed here).
+    pub phase_prepare: Histogram,
     /// `ilpsim.simulate`: running a request's models over its prepared
     /// trace (`/simulate`, `/simulate_range`, or one `/batch` cell).
     pub phase_simulate: Histogram,
@@ -182,6 +192,9 @@ impl Metrics {
             phase_render: Histogram::new(),
             phase_lookup: Histogram::new(),
             phase_miss: Histogram::new(),
+            phase_gate: Histogram::new(),
+            phase_capture: Histogram::new(),
+            phase_prepare: Histogram::new(),
             phase_simulate: Histogram::new(),
             started: Instant::now(),
         }
@@ -323,6 +336,9 @@ impl Metrics {
             ("serve.render", &self.phase_render),
             ("serve.lookup", &self.phase_lookup),
             ("serve.miss", &self.phase_miss),
+            ("analyze.gate", &self.phase_gate),
+            ("vm.capture", &self.phase_capture),
+            ("ilpsim.prepare", &self.phase_prepare),
             ("ilpsim.simulate", &self.phase_simulate),
         ] {
             let label = format!("phase=\"{phase}\"");

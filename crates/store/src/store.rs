@@ -25,7 +25,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use dee_vm::{fnv1a, fnv1a_words, Trace, TraceReader, TraceRecord, TRACE_FORMAT_VERSION};
+use dee_vm::{
+    fnv1a, fnv1a_words, Trace, TraceBuilder, TraceReader, TraceRecord, TRACE_FORMAT_VERSION,
+};
 
 use crate::checksum::checksum64;
 use crate::container::{read_info, ContainerInfo, ContainerReader, ContainerWriter};
@@ -452,18 +454,17 @@ impl Store {
             None => return Ok(None),
         };
         let path = self.path_for(key);
-        let mut records = Vec::new();
-        let collect =
-            |reader: &mut StoreReader, records: &mut Vec<TraceRecord>| -> io::Result<Vec<i32>> {
-                while let Some(record) = reader.next_record()? {
-                    records.push(record);
-                }
-                let output = reader.read_output()?;
-                reader.finish()?;
-                Ok(output)
-            };
-        match collect(&mut reader, &mut records) {
-            Ok(output) => Ok(Some(Trace::from_parts(records, output))),
+        let decode = |reader: &mut StoreReader| -> io::Result<Trace> {
+            let mut builder = TraceBuilder::new();
+            while let Some(record) = reader.next_record()? {
+                builder.push(&record);
+            }
+            let output = reader.read_output()?;
+            reader.finish()?;
+            Ok(builder.finish(output))
+        };
+        match decode(&mut reader) {
+            Ok(trace) => Ok(Some(trace)),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 Err(self.corrupt(path, e.to_string()))
             }

@@ -83,9 +83,8 @@ fn replay_is_byte_identical_at_every_frame_alignment() {
         let mut reader = open(&store, &key);
         assert_eq!(reader.record_count(), trace.len() as u64);
         let (records, output) = drain(&mut reader).expect("drains");
-        assert_eq!(
-            records.as_slice(),
-            trace.records(),
+        assert!(
+            records.into_iter().eq(trace.records()),
             "n={n}: records drifted"
         );
         assert_eq!(output.as_slice(), trace.output(), "n={n}: output drifted");

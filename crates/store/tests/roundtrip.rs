@@ -46,7 +46,7 @@ fn every_workload_replays_byte_identical_through_both_read_paths() {
             .load(&key)
             .expect("read artifact")
             .expect("artifact exists");
-        assert_eq!(loaded.records(), fresh.records(), "{key}: records drifted");
+        assert_eq!(loaded, fresh, "{key}: records drifted");
         assert_eq!(loaded.output(), fresh.output(), "{key}: output drifted");
         assert_eq!(
             output_checksum(loaded.output()),
@@ -70,7 +70,10 @@ fn every_workload_replays_byte_identical_through_both_read_paths() {
         while let Some(record) = reader.next_record().expect("stream record") {
             streamed.push(record);
         }
-        assert_eq!(streamed, fresh.records(), "{key}: streamed records drift");
+        assert!(
+            streamed.into_iter().eq(fresh.records()),
+            "{key}: streamed records drift"
+        );
         let output = reader.read_output().expect("stream output");
         assert_eq!(output, fresh.output(), "{key}: streamed output drifted");
         reader.finish().expect("footer verifies at EOF");
@@ -118,16 +121,30 @@ fn republish_is_idempotent_and_keys_separate_scales() {
 
 #[test]
 fn published_container_bytes_are_pinned() {
-    // Pinned: the `DEESTOR1` file `Store::put` writes for compress at
-    // tiny. Its length and checksum cover the container framing, the LZ
-    // token stream and the `DEETRC1` layout at once, so any change to
-    // the bytes on disk fails here and must bump a format version.
+    // Pinned: the `DEESTOR1` file `Store::put` writes for compress and
+    // cc1 at tiny. Its length and checksum cover the container framing,
+    // the LZ token stream and the `DEETRC1` layout at once, so any change
+    // to the bytes on disk fails here and must bump a format version.
+    // compress makes no call; cc1 changes call depth at 2,068 of its
+    // 25,852 records, so its pin also covers the depth field.
     let (store, dir) = scratch_store("pinned");
-    let workload = dee_workloads::compress::build(Scale::Tiny);
-    let trace = workload.validate().expect("trace");
-    let path = store.put(&key_for(&workload), &trace).expect("publish");
-    let bytes = std::fs::read(&path).expect("read artifact");
-    assert_eq!(bytes.len(), 13_211);
-    assert_eq!(dee_store::checksum64(&bytes), 0x37f4_3756_c76f_e474);
+    for (workload, len, checksum) in [
+        (
+            dee_workloads::compress::build(Scale::Tiny),
+            13_211,
+            0x37f4_3756_c76f_e474,
+        ),
+        (
+            dee_workloads::cc1::build(Scale::Tiny),
+            90_859,
+            0x29ca_6cd5_6522_ac5c,
+        ),
+    ] {
+        let trace = workload.validate().expect("trace");
+        let path = store.put(&key_for(&workload), &trace).expect("publish");
+        let bytes = std::fs::read(&path).expect("read artifact");
+        assert_eq!(bytes.len(), len, "{}", workload.name);
+        assert_eq!(dee_store::checksum64(&bytes), checksum, "{}", workload.name);
+    }
     std::fs::remove_dir_all(dir).ok();
 }

@@ -23,10 +23,12 @@
 //!   targets pre-resolved into dense spans, exposed via
 //!   [`DecodedProgram::jr_tables`] for consumers that want to reason about
 //!   indirect dispatch without rescanning the program.
-//! * **Trace-record templates** — the static fields of every
-//!   [`TraceRecord`] (`pc`, `srcs`, `dst`) are precomputed per pc; the
-//!   dispatch loop only patches the dynamic fields (depth, memory
-//!   address, branch outcome) before pushing.
+//! * **Trace-record shapes** — the static part of every record (`pc`,
+//!   `srcs`, `dst`, which dynamic fields it carries, a branch's target)
+//!   is precomputed per pc and seeds the captured [`Trace`]'s shape
+//!   table, so a record's shape id is its pc. The dispatch loop writes
+//!   only that id and the dynamic fields: a memory address, a taken bit,
+//!   and the call depth where `jal` or `jr` changes it.
 //!
 //! The engine is *observationally identical* to the interpreter: same
 //! trace records, same output, same [`VmError`] on the same step. The
@@ -38,7 +40,7 @@ use std::fmt;
 use dee_isa::{AluOp, BranchCond, Instr, Program, Reg};
 
 use crate::machine::{Machine, RunResult, VmError};
-use crate::trace::{trace_program, BranchOutcome, Trace, TraceRecord};
+use crate::trace::{program_shapes, trace_program, Shape, Trace};
 
 /// Index of the write sink: register writes to `r0` land here and are
 /// never read back, preserving the hardwired-zero semantics without a
@@ -177,7 +179,7 @@ fn dst(r: Reg) -> u8 {
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
     ops: Vec<DecodedOp>,
-    templates: Vec<TraceRecord>,
+    templates: Vec<Shape>,
     defs: Vec<Option<Reg>>,
     is_store: Vec<bool>,
     jr_tables: Vec<JrTable>,
@@ -218,10 +220,9 @@ impl DecodedProgram {
         }
 
         let mut ops = Vec::with_capacity(instrs.len());
-        let mut templates = Vec::with_capacity(instrs.len());
         let mut defs = Vec::with_capacity(instrs.len());
         let mut is_store = Vec::with_capacity(instrs.len());
-        for (pc, instr) in instrs.iter().enumerate() {
+        for instr in instrs {
             ops.push(match *instr {
                 Instr::Alu { op, rd, rs, rt } => DecodedOp::Alu {
                     op,
@@ -264,15 +265,6 @@ impl DecodedProgram {
                 Instr::Halt => DecodedOp::Halt,
                 Instr::Nop => DecodedOp::Nop,
             });
-            templates.push(TraceRecord {
-                pc: pc as u32,
-                srcs: instr.uses(),
-                dst: instr.def(),
-                mem_read: None,
-                mem_write: None,
-                branch: None,
-                depth: 0,
-            });
             defs.push(instr.def());
             is_store.push(matches!(instr, Instr::Sw { .. }));
         }
@@ -300,7 +292,7 @@ impl DecodedProgram {
 
         Ok(DecodedProgram {
             ops,
-            templates,
+            templates: program_shapes(instrs),
             defs,
             is_store,
             jr_tables,
@@ -460,30 +452,13 @@ impl DecodedMachine {
         )
     }
 
-    /// Runs the lowered program to `halt`, capturing the dynamic trace.
-    ///
-    /// # Errors
-    ///
-    /// The same errors as the interpreter on the same dynamic step:
-    /// [`VmError::StepLimit`] (checked before each step), pc faults, and
-    /// memory faults. On error the partially captured records match what
-    /// the interpreter captured before faulting.
-    pub fn run_trace(
-        &mut self,
-        program: &DecodedProgram,
-        limit: u64,
-        records: &mut Vec<TraceRecord>,
-    ) -> Result<(), VmError> {
-        self.dispatch::<true>(program, limit, records)
-    }
-
     /// Runs the lowered program to `halt`, discarding trace records.
     ///
     /// # Errors
     ///
     /// Same contract as [`Machine::run`].
     pub fn run(&mut self, program: &DecodedProgram, limit: u64) -> Result<RunResult, VmError> {
-        let mut sink = Vec::new();
+        let mut sink = Trace::default();
         self.dispatch::<false>(program, limit, &mut sink)?;
         Ok(RunResult {
             executed: self.executed,
@@ -492,15 +467,22 @@ impl DecodedMachine {
     }
 
     /// The tight indexed dispatch loop. `CAPTURE` selects trace capture at
-    /// compile time so the plain-run path pays nothing for it.
+    /// compile time so the plain-run path pays nothing for it. A record
+    /// is written as its shape id (its pc, into a trace seeded with
+    /// `program.templates` on a machine at depth 0) plus its dynamic
+    /// fields; `jal` and `jr` note the depth of the record after them.
+    ///
+    /// The same errors as the interpreter on the same dynamic step:
+    /// [`VmError::StepLimit`] (checked before each step), pc faults, and
+    /// memory faults. On error `trace` keeps the records captured before
+    /// the fault, which match what the interpreter captured.
     fn dispatch<const CAPTURE: bool>(
         &mut self,
         program: &DecodedProgram,
         limit: u64,
-        records: &mut Vec<TraceRecord>,
+        trace: &mut Trace,
     ) -> Result<(), VmError> {
         let ops = program.ops.as_slice();
-        let templates = program.templates.as_slice();
         let mem_len = self.mem.len();
         while !self.halted {
             if self.executed >= limit {
@@ -509,14 +491,6 @@ impl DecodedMachine {
             let pc = self.pc;
             let Some(op) = ops.get(pc as usize) else {
                 return Err(VmError::PcOutOfRange { pc });
-            };
-            let mut record = if CAPTURE {
-                let mut r = templates[pc as usize];
-                r.depth = self.depth;
-                r
-            } else {
-                // Never pushed; any fixed record works.
-                templates[pc as usize]
             };
             let mut next_pc = pc + 1;
             match *op {
@@ -535,7 +509,7 @@ impl DecodedMachine {
                     }
                     self.regs[rd as usize] = self.mem[addr as usize];
                     if CAPTURE {
-                        record.mem_read = Some(addr as u32);
+                        trace.addrs.push(addr as u32);
                     }
                 }
                 DecodedOp::Sw { rs, base, offset } => {
@@ -545,7 +519,7 @@ impl DecodedMachine {
                     }
                     self.mem[addr as usize] = self.regs[rs as usize];
                     if CAPTURE {
-                        record.mem_write = Some(addr as u32);
+                        trace.addrs.push(addr as u32);
                     }
                 }
                 DecodedOp::Branch {
@@ -556,7 +530,7 @@ impl DecodedMachine {
                 } => {
                     let taken = cond.eval(self.regs[rs as usize], self.regs[rt as usize]);
                     if CAPTURE {
-                        record.branch = Some(BranchOutcome { taken, target });
+                        trace.push_taken(taken);
                     }
                     if taken {
                         next_pc = target;
@@ -566,6 +540,9 @@ impl DecodedMachine {
                 DecodedOp::Jal { target } => {
                     self.regs[Reg::RA.index()] = (pc + 1) as i32;
                     self.depth += 1;
+                    if CAPTURE {
+                        trace.set_depth(trace.len() + 1, self.depth);
+                    }
                     next_pc = target;
                 }
                 DecodedOp::Jr { rs } => {
@@ -573,7 +550,12 @@ impl DecodedMachine {
                     if t < 0 {
                         return Err(VmError::PcOutOfRange { pc: t as u32 });
                     }
-                    self.depth = self.depth.saturating_sub(1);
+                    if self.depth > 0 {
+                        self.depth -= 1;
+                        if CAPTURE {
+                            trace.set_depth(trace.len() + 1, self.depth);
+                        }
+                    }
                     next_pc = t as u32;
                 }
                 DecodedOp::Out { rs } => self.output.push(self.regs[rs as usize]),
@@ -581,7 +563,7 @@ impl DecodedMachine {
                     self.halted = true;
                     self.executed += 1;
                     if CAPTURE {
-                        records.push(record);
+                        trace.ids.push(pc);
                     }
                     continue;
                 }
@@ -590,7 +572,7 @@ impl DecodedMachine {
             self.pc = next_pc;
             self.executed += 1;
             if CAPTURE {
-                records.push(record);
+                trace.ids.push(pc);
             }
         }
         Ok(())
@@ -693,9 +675,10 @@ pub fn trace_decoded(
 ) -> Result<Trace, VmError> {
     let mut machine = DecodedMachine::new();
     machine.try_load_memory(initial_memory)?;
-    let mut records = Vec::new();
-    machine.run_trace(decoded, limit, &mut records)?;
-    Ok(Trace::from_parts(records, machine.output().to_vec()))
+    let mut trace = Trace::with_shapes(decoded.templates.clone());
+    machine.dispatch::<true>(decoded, limit, &mut trace)?;
+    trace.set_output(machine.output().to_vec());
+    Ok(trace)
 }
 
 /// Captures a trace with the selected engine — the single entry point the
@@ -755,8 +738,7 @@ mod tests {
         let p = countdown(10);
         let a = trace_program(&p, &[], 10_000).unwrap();
         let b = trace_program_decoded(&p, &[], 10_000).unwrap();
-        assert_eq!(a.records(), b.records());
-        assert_eq!(a.output(), b.output());
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -831,8 +813,9 @@ mod tests {
         }
         let decoded_p = DecodedProgram::compile(&p);
         let mut fast = DecodedMachine::with_memory_size(1024);
-        let mut recs = Vec::new();
-        fast.run_trace(&decoded_p, 10_000, &mut recs).unwrap();
+        let mut trace = Trace::with_shapes(decoded_p.templates.clone());
+        fast.dispatch::<true>(&decoded_p, 10_000, &mut trace)
+            .unwrap();
         assert_eq!(interp.state_digest(), fast.state_digest());
     }
 
@@ -903,6 +886,6 @@ mod tests {
         let p = countdown(5);
         let a = trace_program_with(Engine::Interp, &p, &[], 1_000).unwrap();
         let b = trace_program_with(Engine::Decoded, &p, &[], 1_000).unwrap();
-        assert_eq!(a.records(), b.records());
+        assert_eq!(a, b);
     }
 }

@@ -11,7 +11,9 @@
 //!   read/written, memory words read/written, branch outcome, call depth;
 //! * [`Trace`] — a captured run plus derived statistics (branch counts,
 //!   taken rate, branch-path lengths), the input to the
-//!   `dee-ilpsim` models and the `dee-predict` accuracy harness.
+//!   `dee-ilpsim` models and the `dee-predict` accuracy harness. It holds
+//!   its records compactly (a shape id per record plus the dynamic
+//!   fields) and decodes them through [`Trace::records`].
 //!
 //! All instructions have unit latency and there are no exceptions, matching
 //! the paper's machine assumptions (§5.1).
@@ -53,7 +55,8 @@ pub use decoded::{
 pub use machine::{Machine, MachineState, RunResult, StepOutcome, VmError, DEFAULT_MEM_WORDS};
 pub use serialize::{TraceReader, RECORD_BYTES, TRACE_FORMAT_VERSION};
 pub use trace::{
-    fnv1a, fnv1a_words, output_checksum, trace_program, BranchOutcome, Trace, TraceRecord,
+    fnv1a, fnv1a_words, output_checksum, trace_program, BranchOutcome, Records, Trace,
+    TraceBuilder, TraceRecord,
 };
 
 /// Ignored: `dee_bench::BenchEntry::prepare_probs` takes a chunk size

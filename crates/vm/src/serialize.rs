@@ -26,7 +26,7 @@ use std::io::{self, Read, Write};
 use dee_isa::Reg;
 
 use crate::machine::DEFAULT_MEM_WORDS;
-use crate::trace::{BranchOutcome, Trace, TraceRecord};
+use crate::trace::{BranchOutcome, Trace, TraceBuilder, TraceRecord};
 
 const MAGIC: &[u8; 8] = b"DEETRC1\0";
 const NO_REG: u8 = 0xFF;
@@ -284,16 +284,26 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Propagates writer errors; records with call depth above `u16::MAX`
-    /// are rejected as unrepresentable.
+    /// Propagates writer errors. A record with call depth above
+    /// `u16::MAX`, or one that reads one address and writes another (the
+    /// format holds one address a record), is rejected as
+    /// unrepresentable with `InvalidInput`.
     pub fn write_to<W: Write>(&self, mut writer: W) -> io::Result<()> {
         writer.write_all(MAGIC)?;
-        writer.write_all(&(self.records().len() as u64).to_le_bytes())?;
+        writer.write_all(&(self.len() as u64).to_le_bytes())?;
         let mut buffer = [0u8; RECORD_BYTES];
         for record in self.records() {
             let depth = u16::try_from(record.depth).map_err(|_| {
                 io::Error::new(io::ErrorKind::InvalidInput, "call depth exceeds u16")
             })?;
+            if let (Some(read), Some(write)) = (record.mem_read, record.mem_write) {
+                if read != write {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        "record reads and writes different addresses",
+                    ));
+                }
+            }
             let mut flags = 0u8;
             let mut mem = 0u32;
             if let Some(addr) = record.mem_read {
@@ -348,13 +358,14 @@ impl Trace {
         let prealloc = usize::try_from(stream.record_count())
             .unwrap_or(usize::MAX)
             .min(MAX_PREALLOC_ENTRIES);
-        let mut records = Vec::with_capacity(prealloc);
+        let mut builder = TraceBuilder::new();
+        builder.reserve(prealloc);
         while let Some(record) = stream.next_record()? {
-            records.push(record);
+            builder.push(&record);
         }
         let output = stream.read_output()?;
         stream.expect_end()?;
-        Ok(Trace::from_parts(records, output))
+        Ok(builder.finish(output))
     }
 }
 
@@ -389,8 +400,7 @@ mod tests {
         let mut bytes = Vec::new();
         trace.write_to(&mut bytes).unwrap();
         let restored = Trace::read_from(bytes.as_slice()).unwrap();
-        assert_eq!(restored.records(), trace.records());
-        assert_eq!(restored.output(), trace.output());
+        assert_eq!(restored, trace);
         assert_eq!(restored.output_checksum(), trace.output_checksum());
     }
 
@@ -518,13 +528,38 @@ mod tests {
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData);
                 assert!(err.to_string().contains("memory address"), "{err}");
             }
-            let last = stream(top - 1, flags).unwrap();
-            assert_eq!(
-                last.records()[0].mem_read.or(last.records()[0].mem_write),
-                Some(top - 1)
-            );
+            let last = stream(top - 1, flags).unwrap().records().next().unwrap();
+            assert_eq!(last.mem_read.or(last.mem_write), Some(top - 1));
         }
         assert!(stream(0xFFFF_FFF0, 0).is_ok(), "no access, no bound");
+    }
+
+    #[test]
+    fn a_record_with_two_addresses_is_refused() {
+        let record = TraceRecord {
+            pc: 0,
+            srcs: [None, None],
+            dst: None,
+            mem_read: Some(3),
+            mem_write: Some(4),
+            branch: None,
+            depth: 0,
+        };
+        let mut bytes = Vec::new();
+        let err = Trace::from_parts(vec![record], vec![])
+            .write_to(&mut bytes)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("different addresses"), "{err}");
+        // One address for both fields is what the format holds.
+        let same = TraceRecord {
+            mem_write: Some(3),
+            ..record
+        };
+        let trace = Trace::from_parts(vec![same], vec![]);
+        let mut bytes = Vec::new();
+        trace.write_to(&mut bytes).unwrap();
+        assert_eq!(Trace::read_from(bytes.as_slice()).unwrap(), trace);
     }
 
     #[test]
@@ -548,7 +583,7 @@ mod tests {
         while let Some(record) = stream.next_record().unwrap() {
             streamed.push(record);
         }
-        assert_eq!(streamed.as_slice(), trace.records());
+        assert!(streamed.into_iter().eq(trace.records()));
         assert_eq!(stream.read_output().unwrap(), trace.output());
         stream.expect_end().unwrap();
     }
@@ -562,7 +597,7 @@ mod tests {
         // Consume only one record, then jump to the output: the reader
         // validates the skipped records on the way.
         let first = stream.next_record().unwrap().unwrap();
-        assert_eq!(first, trace.records()[0]);
+        assert_eq!(Some(first), trace.records().next());
         assert_eq!(stream.read_output().unwrap(), trace.output());
     }
 

@@ -11,7 +11,10 @@
 
 use dee_isa::{AluOp, BranchCond, Instr, Program, ProgramError, Reg};
 use dee_rng::{env_u64, Rng};
-use dee_vm::{trace_program, trace_program_decoded, DecodeError, DecodedProgram};
+use dee_vm::{
+    trace_program, trace_program_decoded, DecodeError, DecodedProgram, Machine, StepOutcome,
+    TraceRecord, VmError,
+};
 
 fn reg(rng: &mut Rng) -> Reg {
     Reg::new(rng.below(Reg::COUNT) as u8)
@@ -134,6 +137,28 @@ fn decode_err_key(e: &DecodeError) -> (u8, u32, u32) {
     }
 }
 
+/// The records `Machine::step` returns on a fresh machine, in a plain
+/// `Vec`, or the trap that ends the run: the reference for both engines.
+fn stepped_records(
+    program: &Program,
+    memory: &[i32],
+    limit: u64,
+) -> Result<Vec<TraceRecord>, VmError> {
+    let mut machine = Machine::new();
+    machine.try_load_memory(memory)?;
+    let mut records = Vec::new();
+    loop {
+        if machine.executed() >= limit {
+            return Err(VmError::StepLimit { limit });
+        }
+        let (outcome, record) = machine.step(program)?;
+        records.push(record);
+        if outcome == StepOutcome::Halted {
+            return Ok(records);
+        }
+    }
+}
+
 /// One fuzzed stream: validation must agree; accepted programs must run
 /// identically (records, output, and trap) under both engines.
 fn check_stream(instrs: Vec<Instr>, memory: &[i32], limit: u64, label: &str) {
@@ -155,13 +180,29 @@ fn check_stream(instrs: Vec<Instr>, memory: &[i32], limit: u64, label: &str) {
     let program = validated.expect("both accepted");
     let interp = trace_program(&program, memory, limit);
     let decoded = trace_program_decoded(&program, memory, limit);
+    let stepped = stepped_records(&program, memory, limit);
     match (&interp, &decoded) {
         (Ok(a), Ok(b)) => {
-            assert_eq!(a.records(), b.records(), "{label}: records diverge");
+            // Both engines write one compact trace; the stepped records
+            // never pass through it.
+            let stepped = stepped.unwrap_or_else(|e| panic!("{label}: stepping trapped: {e}"));
+            assert!(
+                a.records().eq(stepped.iter().copied()),
+                "{label}: interp records diverge"
+            );
+            assert!(
+                b.records().eq(stepped.iter().copied()),
+                "{label}: decoded records diverge"
+            );
             assert_eq!(a.output(), b.output(), "{label}: outputs diverge");
         }
         (Err(a), Err(b)) => {
             assert_eq!(a, b, "{label}: traps diverge");
+            assert_eq!(
+                stepped.as_ref().err(),
+                Some(a),
+                "{label}: stepping traps differently"
+            );
         }
         (a, b) => panic!("{label}: one engine trapped, the other did not: {a:?} vs {b:?}"),
     }

@@ -863,6 +863,11 @@ fn run(args: &[String]) -> Result<(), String> {
             let file = std::fs::File::open(trace_path).map_err(|e| e.to_string())?;
             let trace = dee::vm::Trace::read_from(std::io::BufReader::new(file))
                 .map_err(|e| e.to_string())?;
+            // Preparing indexes per-pc tables by each record's pc, so a
+            // trace of another program must be refused before it.
+            dee::analyze::BranchCensus::build(&program)
+                .verify_trace(&trace)
+                .map_err(|e| format!("{trace_path} does not belong to {prog_path}: {e}"))?;
             println!("replaying {} records", trace.len());
             print_speedups(&PreparedTrace::new(&program, &trace), &options)
         }

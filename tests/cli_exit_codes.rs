@@ -133,3 +133,35 @@ fn et_outside_one_to_max_et_is_a_usage_error() {
         assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
     }
 }
+
+/// `dee replay` refuses a trace captured from another program, naming the
+/// first record that does not fit, and still replays a matching pair.
+#[test]
+fn replay_refuses_a_trace_of_another_program() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let dot = format!("{root}/examples/asm/dot_product.s");
+    let gcd = format!("{root}/examples/asm/gcd.s");
+    let dir = std::env::temp_dir().join(format!("dee-replay-pairs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let dot_trace = dir.join("dot.trace");
+    let gcd_trace = dir.join("gcd.trace");
+    for (program, trace) in [(&dot, &dot_trace), (&gcd, &gcd_trace)] {
+        let out = dee(&["trace", program, "-o", trace.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+    }
+    for (program, trace) in [(&gcd, &dot_trace), (&dot, &gcd_trace)] {
+        let out = dee(&["replay", program, trace.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("does not belong"), "{stderr}");
+        assert!(
+            stderr.contains("record "),
+            "names the first bad record: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "no speedups printed: {out:?}");
+    }
+    let out = dee(&["replay", &dot, dot_trace.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("replaying 647 records"));
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -12,12 +12,17 @@
 //! * identical predictor accuracy counters when the captured traces are
 //!   replayed through the paper's 2-bit predictor.
 //!
+//! Both engines write one compact `Trace`, so comparing their decoded
+//! records alone would share the encoder. Each engine's records are
+//! also held to a plain `Vec` of the records `Machine::step` returns,
+//! which never passes through the encoding.
+//!
 //! `DEE_CHAOS_SEED` (default 42) picks the generated grid;
 //! `DEE_CHAOS_ITERS` (default 300) scales how many grid points run.
 
 use dee::gen::{generate_with, GenSpec};
 use dee::predict::{measure_accuracy, TwoBitCounter};
-use dee::vm::{DecodedMachine, DecodedProgram, Engine, Machine, Trace};
+use dee::vm::{DecodedMachine, DecodedProgram, Engine, Machine, StepOutcome, Trace, TraceRecord};
 use dee::workloads::{Scale, Workload, WorkloadRegistry};
 use dee_rng::env_u64;
 
@@ -27,8 +32,41 @@ fn deetrc1_bytes(trace: &Trace) -> Vec<u8> {
     bytes
 }
 
+/// The records `Machine::step` returns for the workload, collected into a
+/// plain `Vec`: the reference for both engines' decoded traces.
+fn stepped_records(w: &Workload, label: &str) -> Vec<TraceRecord> {
+    let mut machine = Machine::new();
+    machine.load_memory(&w.initial_memory);
+    let mut records = Vec::new();
+    loop {
+        assert!(machine.executed() < w.step_limit, "{label}: step limit");
+        let (outcome, record) = machine
+            .step(&w.program)
+            .unwrap_or_else(|e| panic!("{label}: step failed: {e}"));
+        records.push(record);
+        if outcome == StepOutcome::Halted {
+            return records;
+        }
+    }
+}
+
+/// Requires `trace`'s decoded records to equal `stepped`, naming the
+/// first record that differs.
+fn assert_records_match(trace: &Trace, stepped: &[TraceRecord], label: &str) {
+    assert_eq!(trace.len(), stepped.len(), "{label}: record counts differ");
+    if let Some((i, (got, want))) = trace
+        .records()
+        .zip(stepped)
+        .enumerate()
+        .find(|(_, (got, want))| got != *want)
+    {
+        panic!("{label}: record {i} decodes as {got:?}, stepped {want:?}");
+    }
+}
+
 /// Runs the workload to completion on both machines and asserts every
-/// observable agrees: trace bytes, state digests, accuracy counters.
+/// observable agrees: trace bytes, state digests, accuracy counters, and
+/// each engine's records against the stepped reference.
 fn assert_engines_identical(w: &Workload, label: &str) {
     let interp = w
         .capture_trace_with(Engine::Interp)
@@ -42,6 +80,9 @@ fn assert_engines_identical(w: &Workload, label: &str) {
         deetrc1_bytes(&decoded),
         "{label}: DEETRC1 bytes diverge between engines"
     );
+    let stepped = stepped_records(w, label);
+    assert_records_match(&interp, &stepped, &format!("{label} (interp)"));
+    assert_records_match(&decoded, &stepped, &format!("{label} (decoded)"));
 
     let mut reference = Machine::new();
     reference.load_memory(&w.initial_memory);
@@ -75,6 +116,20 @@ fn registry_workloads_identical_across_engines() {
     for name in registry.names() {
         let w = registry.build(name, Scale::Tiny).expect("registered");
         assert_engines_identical(&w, name);
+    }
+}
+
+/// At small, the decoded engine's records against the stepped reference
+/// (the interpreter's capture adds nothing the tiny sweep does not check).
+#[test]
+fn registry_workloads_decode_to_stepped_records_at_small() {
+    let registry = WorkloadRegistry::builtin();
+    for name in registry.names() {
+        let w = registry.build(name, Scale::Small).expect("registered");
+        let decoded = w
+            .capture_trace_with(Engine::Decoded)
+            .unwrap_or_else(|e| panic!("{name}: decoded capture failed: {e}"));
+        assert_records_match(&decoded, &stepped_records(&w, name), name);
     }
 }
 

@@ -9,6 +9,10 @@
 //! * §TAB-ORACLE's measured column: every benchmark equals the CSV's
 //!   `Oracle` row, and the harmonic-mean row the harmonic mean of those
 //!   five rows as written, to the two decimals shown.
+//! * §TAB-HEADLINE's measured column equals `results/headline_medium.csv`
+//!   as written, row by row (a ratio quoted as a percentage, ×100).
+//! * §TAB-RESOLVE's root share, per-benchmark range and coverage equal
+//!   `results/resolve_location_medium.csv`.
 
 use std::collections::HashMap;
 
@@ -16,6 +20,8 @@ use dee::ilpsim::harmonic_mean;
 
 const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
 const FIG5_MEDIUM: &str = include_str!("../results/fig5_medium.csv");
+const HEADLINE_MEDIUM: &str = include_str!("../results/headline_medium.csv");
+const RESOLVE_MEDIUM: &str = include_str!("../results/resolve_location_medium.csv");
 
 /// `fig5`'s E_T axis (`dee_bench::FIG5_RESOURCES`).
 const FIG5_RESOURCES: [u32; 6] = [8, 16, 32, 64, 128, 256];
@@ -143,5 +149,95 @@ fn tab_oracle_quotes_the_golden() {
         "EXPERIMENTS §TAB-ORACLE quotes the oracle's harmonic mean as {}; \
          the CSV's five rows give {hm}",
         hm_row.1
+    );
+}
+
+/// The rows of a markdown table in `section` that follows `header`, as
+/// trimmed cells.
+fn table_rows(section: &'static str, header: &str) -> Vec<Vec<&'static str>> {
+    let table = section
+        .split(header)
+        .nth(1)
+        .unwrap_or_else(|| panic!("no table headed `{header}`"));
+    table
+        .lines()
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|row| row.trim_matches('|').split('|').map(str::trim).collect())
+        .collect()
+}
+
+#[test]
+fn tab_headline_quotes_the_golden() {
+    let rows = table_rows(
+        section("TAB-HEADLINE"),
+        "| statistic | paper | measured | status |",
+    );
+    let golden: Vec<(&str, &str)> = HEADLINE_MEDIUM
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let fields: Vec<&str> = line.split(',').collect();
+            (fields[0], fields[1])
+        })
+        .collect();
+    assert_eq!(rows.len(), golden.len(), "one doc row per golden row");
+    for (row, (statistic, written)) in rows.iter().zip(&golden) {
+        let quoted = row[2];
+        let as_written = match quoted.strip_suffix('%') {
+            Some(percent) => {
+                let ratio: f64 = written.parse().expect("a ratio quoted as a percentage");
+                (percent == format!("{:.0}", ratio * 100.0)).then_some(*written)
+            }
+            None => Some(quoted.trim_end_matches('×')),
+        };
+        assert_eq!(
+            as_written,
+            Some(*written),
+            "EXPERIMENTS §TAB-HEADLINE quotes `{statistic}` as {quoted}; \
+             results/headline_medium.csv has {written}"
+        );
+    }
+}
+
+#[test]
+fn tab_resolve_quotes_the_golden() {
+    let mut at_root = Vec::new();
+    let mut all = None;
+    for line in RESOLVE_MEDIUM.lines().skip(1) {
+        let fields: Vec<&str> = line.split(',').collect();
+        if fields[0] == "ALL" {
+            all = Some((fields[2], fields[4]));
+        } else {
+            let share: f64 = fields[2].trim_end_matches('%').parse().expect("a share");
+            at_root.push(share);
+        }
+    }
+    let (root, covered) = all.expect("resolve_location has an ALL row");
+    let lo = at_root.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = at_root.iter().copied().fold(0.0, f64::max);
+    let range = format!("{lo:.0}–{hi:.0}%");
+    let rows = table_rows(
+        section("TAB-RESOLVE"),
+        "| quantity | paper | measured | status |",
+    );
+    let measured = |quantity: &str| {
+        rows.iter()
+            .find(|row| row[0].starts_with(quantity))
+            .unwrap_or_else(|| panic!("§TAB-RESOLVE has a `{quantity}` row"))[2]
+    };
+    let root_cell = measured("resolved at tree root");
+    assert!(
+        root_cell.starts_with(&format!("**{root}**")),
+        "§TAB-RESOLVE quotes the root share as `{root_cell}`; the golden has {root}"
+    );
+    assert!(
+        root_cell.contains(&format!("per benchmark {range})")),
+        "§TAB-RESOLVE quotes the per-benchmark range as `{root_cell}`; the golden spans {range}"
+    );
+    let covered_cell = measured("within DEE coverage");
+    assert_eq!(
+        covered_cell, covered,
+        "§TAB-RESOLVE quotes coverage as `{covered_cell}`; the golden has {covered}"
     );
 }

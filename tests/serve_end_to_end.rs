@@ -313,6 +313,48 @@ fn simulate_times_its_lookup_or_miss_and_its_models_once_per_request() {
     server.shutdown();
 }
 
+/// An upload's miss times its lint gate, capture and prepare once each;
+/// a hit adds to none of them, and a registry workload is not linted.
+#[test]
+fn an_upload_miss_times_its_gate_capture_and_prepare_once() {
+    let server = spawn(2);
+    let addr = server.addr();
+    let upload = r#"{"program":"li r1, 3\nout r1\nhalt\n","model":"SP","et":8}"#;
+    let registry = r#"{"workload":"xlisp","scale":"tiny","model":"SP","et":8}"#;
+    let counts = || {
+        let (status, metrics) = get(addr, "/metrics");
+        assert_eq!(status, 200);
+        ["analyze.gate", "vm.capture", "ilpsim.prepare"].map(|phase| {
+            scrape(
+                &metrics,
+                &format!("dee_phase_us_count{{phase=\"{phase}\"}}"),
+            )
+        })
+    };
+    let (status, response) = post(addr, "/simulate", upload);
+    assert_eq!(status, 200, "{response}");
+    assert!(response.contains(r#""cache":"miss""#), "{response}");
+    assert_eq!(counts(), [1, 1, 1]);
+    // The same upload hits: nothing captured or prepared, and its lint
+    // is no part of a miss.
+    let (status, response) = post(addr, "/simulate", upload);
+    assert_eq!(status, 200, "{response}");
+    assert!(response.contains(r#""cache":"hit""#), "{response}");
+    assert_eq!(counts(), [1, 1, 1]);
+    // A registry workload's miss captures and prepares, and is not linted;
+    // its hit adds nothing.
+    for cache in ["miss", "hit"] {
+        let (status, response) = post(addr, "/simulate", registry);
+        assert_eq!(status, 200, "{response}");
+        assert!(
+            response.contains(&format!(r#""cache":"{cache}""#)),
+            "{response}"
+        );
+    }
+    assert_eq!(counts(), [1, 2, 2]);
+    server.shutdown();
+}
+
 #[test]
 fn saturated_queue_sheds_load_with_503() {
     // No workers: accepted jobs stay queued, so with capacity 1 the second
